@@ -160,27 +160,29 @@ int main(int argc, char** argv) {
     const WallTimer incremental_timer;
     dynamic::IncrementalBc engine(params, sketch, sample_batch);
     engine.run(initial);
-    const std::uint64_t initial_draws = engine.next_stream();
     dynamic::MutableGraph mutable_graph(initial);
-    std::uint64_t dirty = 0, retained = 0, topup = 0, recalibrations = 0;
+    std::uint64_t dirty = 0, retained = 0, resampled = 0, topup = 0,
+                  recalibrations = 0;
     for (const dynamic::EdgeBatch& batch : sequence) {
       mutable_graph.apply(batch);
       const std::uint32_t bound =
           batch.deletes().empty()
               ? 0
               : graph::vertex_diameter(*mutable_graph.snapshot(),
-                                       params.exact_diameter);
+                                       params.exact_diameter)
+                    .value;
       const auto stats =
           engine.refresh(mutable_graph.snapshot(), batch, bound);
       dirty += stats.dirty;
       retained += stats.retained;
+      resampled += stats.resampled;
       topup += stats.topup;
       recalibrations += stats.recalibrated ? 1 : 0;
     }
     const double incremental_seconds = incremental_timer.elapsed_s();
-    // Fresh draws the churn cost: everything after the initial build.
-    const std::uint64_t incremental_draws =
-        engine.next_stream() - initial_draws;
+    // Draws the churn cost: every resample (on its slot's own stream) and
+    // every top-up sample after the initial build.
+    const std::uint64_t incremental_draws = resampled + topup;
     const double dirty_fraction =
         static_cast<double>(dirty) / static_cast<double>(dirty + retained);
 

@@ -71,7 +71,7 @@ MeanDistanceResult mean_distance_rank(const graph::Graph& graph,
       DISTBC_ASSERT_MSG(params.assume_connected ||
                             graph::is_connected(graph),
                         "mean_distance requires a connected graph");
-      range = graph::vertex_diameter(graph, /*exact=*/false);
+      range = graph::vertex_diameter(graph, /*ifub=*/false).value;
     }
     world.bcast(std::span{&range, 1}, 0);
   }

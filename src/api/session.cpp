@@ -7,6 +7,7 @@
 #include "bc/brandes_parallel.hpp"
 #include "comm/substrate.hpp"
 #include "graph/components.hpp"
+#include "graph/diameter.hpp"
 #include "graph/stats.hpp"
 #include "tune/microbench.hpp"
 #include "tune/tuner.hpp"
@@ -233,21 +234,27 @@ void Session::adopt_apply(const dynamic::ApplyReport& report) {
   fingerprint_ = report.fingerprint;
   connected_.reset();  // re-derived lazily (apply() checked deletions)
   mean_distance_range_ = 0;
-  // Calibration-bound policy: a warm state survives as long as its cached
-  // vertex-diameter bound still covers the new graph - always on
+  // Calibration-bound policy: omega reads the vertex-diameter bound only
+  // through its omega bucket, so a warm state survives as long as its
+  // cached bound's bucket still covers the new graph - always on
   // insert-only batches (distances only shrink; diameter_bound stays 0),
-  // and on deletion batches when the bound is at or above the recomputed
-  // one. Survivors are re-stamped to the new fingerprint so provenance
-  // checks keep accepting them; violated bounds drop the entry (omega
-  // would be too small for the grown diameter).
+  // and on deletion batches when the recomputed bound's bucket is not
+  // higher. Survivors are re-stamped to the new fingerprint (and their
+  // bound raised to the recomputed one) so provenance checks keep
+  // accepting them; a grown bucket drops the entry (omega would be too
+  // small for the grown diameter).
   for (auto it = calibrations_.begin(); it != calibrations_.end();) {
     const auto& warm = it->second;
-    if (report.had_deletes && warm->vertex_diameter < report.diameter_bound) {
+    if (graph::omega_bucket(report.diameter_bound) >
+        graph::omega_bucket(warm->vertex_diameter)) {
       it = calibrations_.erase(it);
       continue;
     }
     auto restamped = std::make_shared<bc::KadabraWarmState>(*warm);
     restamped->graph_fingerprint = report.fingerprint;
+    restamped->vertex_diameter =
+        std::max(warm->vertex_diameter, report.diameter_bound);
+    restamped->context.vertex_diameter = restamped->vertex_diameter;
     it->second = std::move(restamped);
     ++it;
   }
@@ -402,6 +409,7 @@ Result Session::run(const BetweennessQuery& query) {
   result.algorithm = "kadabra";
   result.samples = bc_result.samples;
   result.epochs = bc_result.epochs;
+  result.diameter_bfs = bc_result.diameter_bfs;
   result.total_seconds = bc_result.total_seconds;
   result.phases = bc_result.phases;
   result.comm_volume = bc_result.comm_volume;
@@ -432,6 +440,7 @@ Result Session::run_incremental(const BetweennessQuery& query) {
   result.algorithm = "kadabra-incremental";
   result.samples = view.samples;
   result.epochs = view.epochs;
+  result.diameter_bfs = view.diameter_bfs;
   result.total_seconds = timer.elapsed_s();
   // An engine that already existed served this query from retained state -
   // the incremental analogue of a calibration-cache hit.

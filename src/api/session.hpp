@@ -137,6 +137,9 @@ struct Result {
 
   std::uint64_t samples = 0;
   std::uint64_t epochs = 0;
+  /// Eccentricities phase 1 computed for this betweenness query: nonzero
+  /// only on a query that ran phase 1 (not on cache hits).
+  std::uint64_t diameter_bfs = 0;
   double total_seconds = 0.0;
   /// Phase windows of this query only: a query that reused the session's
   /// cached calibration reports zero kDiameter/kCalibration seconds.
@@ -221,8 +224,9 @@ class Session {
   /// and updates the session caches - connectivity and fingerprint are
   /// re-derived; cached calibrations survive insert-only batches unchanged
   /// (distances only shrink, so their vertex-diameter bounds hold) and
-  /// survive deletion batches when their bound covers the recomputed one,
-  /// re-stamped to the new fingerprint; violated bounds drop the entry.
+  /// survive deletion batches when the recomputed bound's omega bucket is
+  /// not above theirs, re-stamped to the new fingerprint; a grown bucket
+  /// drops the entry.
   /// A rejected batch (report.status) leaves the session untouched.
   [[nodiscard]] dynamic::ApplyReport apply(dynamic::EdgeBatch batch);
 

@@ -124,9 +124,12 @@ BcResult kadabra_run_frames(const graph::Graph& graph,
     // --- Phase 1: diameter at rank zero (sequential, §IV-F), broadcast. --
     std::uint32_t vd = 0;
     if (is_root) {
-      vd = phases.timed(Phase::kDiameter, [&] {
-        return kadabra_vertex_diameter(graph, params);
-      });
+      const graph::VertexDiameterBound bound =
+          phases.timed(Phase::kDiameter, [&] {
+            return kadabra_vertex_diameter(graph, params);
+          });
+      vd = bound.value;
+      result.diameter_bfs = bound.num_bfs;
     }
     if (world != nullptr) world->bcast(std::span{&vd, 1}, 0);
     state->vertex_diameter = vd;

@@ -50,6 +50,7 @@ using engine::FrameRep;
 /// (graph, params, engine shape) it was computed on: api::Session owns
 /// that keying and is the intended consumer.
 struct KadabraWarmState {
+  /// Phase 1's vertex-diameter bound (see BcResult::vertex_diameter).
   std::uint32_t vertex_diameter = 0;
   KadabraContext context;
   /// Measured per-sample cost in cluster CPU-seconds (rank 0's value).

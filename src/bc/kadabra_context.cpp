@@ -1,12 +1,11 @@
 #include "bc/kadabra_context.hpp"
 
 #include "graph/components.hpp"
-#include "graph/diameter.hpp"
 
 namespace distbc::bc {
 
-std::uint32_t kadabra_vertex_diameter(const graph::Graph& graph,
-                                      const KadabraParams& params) {
+graph::VertexDiameterBound kadabra_vertex_diameter(
+    const graph::Graph& graph, const KadabraParams& params) {
   DISTBC_ASSERT_MSG(graph::is_connected(graph),
                     "KADABRA drivers expect the largest connected component");
   return graph::vertex_diameter(graph, params.exact_diameter);

@@ -14,6 +14,7 @@
 
 #include "bc/calibration.hpp"
 #include "bc/kadabra_math.hpp"
+#include "graph/diameter.hpp"
 #include "graph/graph.hpp"
 #include "support/assert.hpp"
 
@@ -52,9 +53,11 @@ struct KadabraContext {
   }
 };
 
-/// Phase 1: vertex diameter of the (connected) input graph.
-[[nodiscard]] std::uint32_t kadabra_vertex_diameter(const graph::Graph& graph,
-                                                    const KadabraParams& params);
+/// Phase 1: vertex-diameter upper bound of the (connected) input graph -
+/// iFUB stopped at the omega bucket, or the 2-approximation - and the
+/// eccentricities it took.
+[[nodiscard]] graph::VertexDiameterBound kadabra_vertex_diameter(
+    const graph::Graph& graph, const KadabraParams& params);
 
 /// Derives omega and the calibration sample count from the diameter.
 [[nodiscard]] KadabraContext begin_context(const KadabraParams& params,

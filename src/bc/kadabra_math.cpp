@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <cmath>
 
+#include "graph/diameter.hpp"
 #include "support/assert.hpp"
 
 namespace distbc::bc {
@@ -34,10 +35,8 @@ std::uint64_t compute_omega(std::uint32_t vertex_diameter, double epsilon,
   DISTBC_ASSERT(epsilon > 0.0 && epsilon < 1.0);
   DISTBC_ASSERT(delta > 0.0 && delta < 1.0);
   constexpr double kUniversalConstant = 0.5;
-  const double log2_vd =
-      vertex_diameter > 2
-          ? std::floor(std::log2(static_cast<double>(vertex_diameter - 2)))
-          : 0.0;
+  const auto log2_vd =
+      static_cast<double>(graph::omega_bucket(vertex_diameter));
   const double omega = kUniversalConstant / (epsilon * epsilon) *
                        (log2_vd + 1.0 + std::log(2.0 / delta));
   return static_cast<std::uint64_t>(std::ceil(omega));

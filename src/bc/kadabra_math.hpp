@@ -18,7 +18,9 @@ namespace distbc::bc {
 struct KadabraParams {
   double epsilon = 0.01;  // absolute error bound (paper experiments: 0.001)
   double delta = 0.1;     // failure probability (paper: 0.1)
-  bool exact_diameter = true;  // iFUB (true) or 2-approximation (false)
+  /// Phase 1: iFUB stopped at the omega bucket (true; omega equals the
+  /// exact diameter's) or the 2-approximation (false).
+  bool exact_diameter = true;
   std::uint64_t seed = 0x5eed;
   /// Non-adaptive samples used to calibrate delta_L/delta_U; 0 = automatic
   /// (scales with omega, see auto_initial_samples()).

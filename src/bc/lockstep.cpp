@@ -62,8 +62,12 @@ BcResult lockstep_frames(const graph::Graph& graph,
   // Phases 1 + 2 identical in structure to the epoch-based driver.
   std::uint32_t vd = 0;
   if (is_root) {
-    vd = phases.timed(Phase::kDiameter,
-                      [&] { return kadabra_vertex_diameter(graph, params); });
+    const graph::VertexDiameterBound bound =
+        phases.timed(Phase::kDiameter, [&] {
+          return kadabra_vertex_diameter(graph, params);
+        });
+    vd = bound.value;
+    result.diameter_bfs = bound.num_bfs;
   }
   world.bcast(std::span{&vd, 1}, 0);
   KadabraContext context = begin_context(params, vd);

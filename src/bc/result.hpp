@@ -26,7 +26,12 @@ struct BcResult {
   std::uint64_t samples_attempted = 0;
   std::uint64_t epochs = 0;           // aggregation rounds
   std::uint64_t omega = 0;            // static budget
-  std::uint32_t vertex_diameter = 0;  // VD used for omega
+  /// Vertex-diameter bound omega was derived from: iFUB's upper bound in
+  /// the exact value's omega bucket, or the 2-approximation.
+  std::uint32_t vertex_diameter = 0;
+  /// Eccentricities phase 1 computed for it (0 when a warm state skipped
+  /// phase 1).
+  std::uint64_t diameter_bfs = 0;
 
   // --- Timing -------------------------------------------------------------
   double total_seconds = 0.0;

@@ -11,6 +11,18 @@
 
 namespace distbc::bc {
 
+std::uint64_t rk_budget(std::uint32_t vertex_diameter, double epsilon,
+                        double delta) {
+  // Like KADABRA's omega but with ln(1/delta) - RK needs no union bound
+  // over the two-sided adaptive checks.
+  constexpr double kUniversalConstant = 0.5;
+  const auto log2_vd =
+      static_cast<double>(graph::omega_bucket(vertex_diameter));
+  return static_cast<std::uint64_t>(
+      std::ceil(kUniversalConstant / (epsilon * epsilon) *
+                (log2_vd + 1.0 + std::log(1.0 / delta))));
+}
+
 BcResult rk(const graph::Graph& graph, const RkParams& params,
             int num_threads) {
   DISTBC_ASSERT(num_threads >= 1);
@@ -23,19 +35,14 @@ BcResult rk(const graph::Graph& graph, const RkParams& params,
   if (n < 2) return result;
 
   PhaseTimer phases;
-  const std::uint32_t vd = phases.timed(Phase::kDiameter, [&] {
+  const graph::VertexDiameterBound bound = phases.timed(Phase::kDiameter, [&] {
     return graph::vertex_diameter(graph, params.exact_diameter);
   });
-  result.vertex_diameter = vd;
+  result.vertex_diameter = bound.value;
+  result.diameter_bfs = bound.num_bfs;
 
-  // RK budget: like KADABRA's omega but with ln(1/delta) - RK needs no
-  // union bound over the two-sided adaptive checks.
-  constexpr double kUniversalConstant = 0.5;
-  const double log2_vd =
-      vd > 2 ? std::floor(std::log2(static_cast<double>(vd - 2))) : 0.0;
-  const auto budget = static_cast<std::uint64_t>(
-      std::ceil(kUniversalConstant / (params.epsilon * params.epsilon) *
-                (log2_vd + 1.0 + std::log(1.0 / params.delta))));
+  const std::uint64_t budget =
+      rk_budget(bound.value, params.epsilon, params.delta);
   result.omega = budget;
 
   WallTimer sampling_timer;

@@ -13,9 +13,16 @@ namespace distbc::bc {
 struct RkParams {
   double epsilon = 0.01;
   double delta = 0.1;
+  /// Phase 1: iFUB stopped at the omega bucket (true) or the
+  /// 2-approximation (false).
   bool exact_diameter = true;
   std::uint64_t seed = 0x5eed;
 };
+
+/// The budget r above for a vertex-diameter bound; reads the bound only
+/// through graph::omega_bucket.
+[[nodiscard]] std::uint64_t rk_budget(std::uint32_t vertex_diameter,
+                                      double epsilon, double delta);
 
 /// `num_threads` workers sample in parallel into private frames that are
 /// merged once at the end (non-adaptive sampling parallelizes trivially -

@@ -1,6 +1,5 @@
 #include "dynamic/dynamic_state.hpp"
 
-#include <optional>
 #include <utility>
 
 #include "graph/components.hpp"
@@ -53,24 +52,19 @@ ApplyReport DynamicState::apply(EdgeBatch batch) {
 
   // Bound policy: insert-only batches only shrink distances, so every
   // cached vertex-diameter bound stays a valid upper bound - nothing is
-  // recomputed (diameter_bound stays 0). Deletion batches recompute the
-  // bound on the NEW snapshot, once per exactness class among the live
-  // engines, plus the cheap 2-approximation for the report (a sound upper
-  // bound for any downstream cache, e.g. Session warm states).
-  std::optional<std::uint32_t> bound_by_exactness[2];
-  auto bound_for = [&](bool exact) {
-    auto& slot = bound_by_exactness[exact ? 1 : 0];
-    if (!slot)
-      slot = graph::vertex_diameter(*graph_.snapshot(), exact);
-    return *slot;
-  };
-  if (report.had_deletes) report.diameter_bound = bound_for(false);
+  // recomputed (diameter_bound stays 0). A deletion batch recomputes one
+  // bound on the NEW snapshot for every engine and downstream cache (e.g.
+  // Session warm states): omega reads only its bucket, so iFUB stops there.
+  if (report.had_deletes) {
+    const graph::VertexDiameterBound bound =
+        graph::vertex_diameter(*graph_.snapshot(), /*ifub=*/true);
+    report.diameter_bound = bound.value;
+    report.diameter_bfs = bound.num_bfs;
+  }
 
   for (auto& [key, engine] : engines_) {
-    const std::uint32_t new_bound =
-        report.had_deletes ? bound_for(engine->params().exact_diameter) : 0;
     const IncrementalBc::RefreshStats stats =
-        engine->refresh(graph_.snapshot(), batch, new_bound);
+        engine->refresh(graph_.snapshot(), batch, report.diameter_bound);
     ++report.engines_refreshed;
     report.samples_retained += stats.retained;
     report.samples_dirty += stats.dirty;
@@ -90,6 +84,7 @@ DynamicState::QueryView DynamicState::query(const bc::KadabraParams& params) {
     engine = std::make_unique<IncrementalBc>(params, sketch_, sample_batch_);
     engine->run(graph_.snapshot());
     view.first_run = true;
+    view.diameter_bfs = engine->diameter_bfs();
   }
   view.status = api::Status::success();
   view.scores = engine->scores();

@@ -15,8 +15,9 @@
 // connected graph); a disconnecting batch is reverted and rejected with a
 // typed Status. Vertex-diameter bounds are touched only when they can be
 // violated: insert-only batches shrink distances and keep every cached
-// bound; deletion batches recompute the bound once per exactness class in
-// use and engines recalibrate only when their cached bound is exceeded.
+// bound; a deletion batch recomputes one bound, iFUB stopped at the omega
+// bucket, and engines recalibrate only when its omega bucket exceeds that
+// of their cached bound.
 #pragma once
 
 #include <cstdint>
@@ -47,10 +48,13 @@ struct ApplyReport {
   bool had_deletes = false;
   /// Whether the slack CSR served the batch without a rebuild.
   bool in_place = false;
-  /// Vertex-diameter upper bound recomputed for the NEW graph (2-approx),
-  /// or 0 when the batch was insert-only and every cached bound stayed
-  /// valid untouched.
+  /// Vertex-diameter upper bound recomputed for the NEW graph (iFUB
+  /// stopped at the omega bucket: the bound shares the exact value's
+  /// bucket), or 0 when the batch was insert-only and every cached bound
+  /// stayed valid untouched.
   std::uint32_t diameter_bound = 0;
+  /// Eccentricities that recomputation took (0 on insert-only batches).
+  std::uint64_t diameter_bfs = 0;
 
   // Ledger accounting, summed over every refreshed engine.
   std::uint64_t samples_retained = 0;
@@ -93,6 +97,8 @@ class DynamicState {
     std::uint32_t vertex_diameter = 0;
     /// True when this call created (and fully ran) the engine.
     bool first_run = false;
+    /// Eccentricities that run's phase 1 computed (0 unless first_run).
+    std::uint64_t diameter_bfs = 0;
   };
 
   /// Scores from the incremental engine for `params`, creating and running

@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <utility>
 
+#include "graph/diameter.hpp"
 #include "support/assert.hpp"
 
 namespace distbc::dynamic {
@@ -81,10 +82,9 @@ void IncrementalBc::resample_slots(std::span<const std::uint32_t> slots) {
         std::min(slots.size() - done, static_cast<std::size_t>(sample_batch_));
     streams.clear();
     for (std::size_t i = 0; i < width; ++i)
-      streams.push_back(next_stream_ + i);
+      streams.push_back(ledger_.stream(slots[done + i]));
     sample_chunk(streams, slots.subspan(done, width), aggregate_,
                  /*record=*/true);
-    next_stream_ += width;
     done += width;
   }
 }
@@ -114,7 +114,10 @@ void IncrementalBc::run(std::shared_ptr<const graph::Graph> graph) {
                                                              sample_batch_);
   ledger_.clear();
   epochs_ = 0;
-  vertex_diameter_ = bc::kadabra_vertex_diameter(*graph_, params_);
+  const graph::VertexDiameterBound bound =
+      bc::kadabra_vertex_diameter(*graph_, params_);
+  vertex_diameter_ = bound.value;
+  diameter_bfs_ = bound.num_bfs;
   context_ = bc::begin_context(params_, vertex_diameter_);
   aggregate_ = epoch::StateFrame(graph_->num_vertices());
   // Phase 2: non-adaptive calibration samples feed only the stopping
@@ -159,15 +162,21 @@ IncrementalBc::RefreshStats IncrementalBc::refresh(
   stats.resampled = verdict.dirty.size();
 
   // Calibration-bound policy: 0 asserts the cached bound still covers the
-  // new graph (insert-only batches); a bound within the cached one keeps
-  // omega and the stopping radii; only a VIOLATED bound re-derives omega
-  // and recalibrates - from the merged aggregate, no extra samples.
+  // new graph (insert-only batches). omega reads the bound only through
+  // its omega bucket, so a larger bound in the cached bucket just raises
+  // the cached value; only a bound in a HIGHER bucket re-derives omega and
+  // recalibrates - from the merged aggregate, no extra samples.
   if (diameter_bound > vertex_diameter_) {
+    const bool bucket_grew = graph::omega_bucket(diameter_bound) >
+                             graph::omega_bucket(vertex_diameter_);
     vertex_diameter_ = diameter_bound;
-    bc::KadabraContext fresh = bc::begin_context(params_, diameter_bound);
-    bc::finish_calibration(fresh, aggregate_);
-    context_ = fresh;
-    stats.recalibrated = true;
+    context_.vertex_diameter = diameter_bound;
+    if (bucket_grew) {
+      bc::KadabraContext fresh = bc::begin_context(params_, diameter_bound);
+      bc::finish_calibration(fresh, aggregate_);
+      context_ = fresh;
+      stats.recalibrated = true;
+    }
   }
 
   // The merged aggregate must still satisfy the stop rule under the

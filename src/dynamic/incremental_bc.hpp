@@ -4,18 +4,22 @@
 // A fresh run() executes the standard three phases (vertex diameter ->
 // omega, calibration, adaptive epochs), drawing every sample on its OWN
 // deterministic RNG stream (`Rng(params.seed).split(stream)`, one monotone
-// stream counter across calibration, adaptive, and resample phases) and
+// stream counter across the calibration and adaptive phases) and
 // recording a SampleLedger sketch per adaptive sample.
 //
 // refresh(graph, batch, bound) is the incremental path:
 //   1. classify retained samples clean/dirty against the batch sketches;
 //   2. subtract the dirty samples' contributions from the aggregate frame
 //      (their paths and tau shares), keeping every clean contribution;
-//   3. resample EXACTLY the dirty count on fresh stream indices against
-//      the new snapshot, into the same ledger slots;
-//   4. when the batch violated the cached vertex-diameter bound
-//      (`bound > current`), re-derive omega and recalibrate the stopping
-//      radii from the merged post-resample aggregate - no extra samples;
+//   3. redraw every dirty slot on its OWN stream against the new
+//      snapshot: the same (s, t) pair, a fresh shortest path on the new
+//      graph (the pair-preserving update of Bergamini & Meyerhenke, ESA
+//      2015). Redrawing on a new stream would draw a new pair, leaving the
+//      kept samples uniform only among pairs the batch did not touch, and
+//      bias the estimate away from the churned region;
+//   4. when the batch's bound lies in a higher omega bucket than the
+//      cached one, re-derive omega and recalibrate the stopping radii from
+//      the merged post-resample aggregate - no extra samples;
 //   5. re-evaluate the adaptive stop rule on the merged aggregate and top
 //      up with further epochs if it no longer holds.
 //
@@ -57,7 +61,7 @@ class IncrementalBc {
   struct RefreshStats {
     std::uint64_t retained = 0;   // clean samples kept
     std::uint64_t dirty = 0;      // samples invalidated by the batch
-    std::uint64_t resampled = 0;  // == dirty (fresh draws, same slots)
+    std::uint64_t resampled = 0;  // == dirty (same slots, same streams)
     std::uint64_t topup = 0;      // extra samples from re-running the stop rule
     std::uint64_t bloom_dirty = 0;  // dirty verdicts from Bloom sketches
     std::uint32_t epochs = 0;       // top-up epochs executed
@@ -65,9 +69,10 @@ class IncrementalBc {
   };
 
   /// Incremental refresh after `batch` produced snapshot `graph`.
-  /// `diameter_bound` is the caller's vertex-diameter upper bound for the
-  /// NEW graph, or 0 to assert the cached bound still holds (insert-only
-  /// batches: distances only shrink). Requires a previous run().
+  /// `diameter_bound` is the caller's vertex-diameter bound for the NEW
+  /// graph (in the exact value's omega bucket or above), or 0 to assert the
+  /// cached bound still holds (insert-only batches: distances only
+  /// shrink). Requires a previous run().
   RefreshStats refresh(std::shared_ptr<const graph::Graph> graph,
                        const EdgeBatch& batch, std::uint32_t diameter_bound);
 
@@ -84,7 +89,10 @@ class IncrementalBc {
   [[nodiscard]] std::uint32_t vertex_diameter() const {
     return vertex_diameter_;
   }
-  /// Next unused RNG stream index (monotone across phases and refreshes).
+  /// Eccentricities the last run()'s phase 1 computed.
+  [[nodiscard]] std::uint64_t diameter_bfs() const { return diameter_bfs_; }
+  /// Next unused RNG stream index (monotone across phases and refreshes;
+  /// resamples reuse their slot's stream, top-ups take new ones).
   [[nodiscard]] std::uint64_t next_stream() const { return next_stream_; }
 
  private:
@@ -109,7 +117,8 @@ class IncrementalBc {
   /// `record` is set.
   void sample_fresh(std::uint64_t count, epoch::StateFrame& frame,
                     bool record);
-  /// Redraws the given ledger slots on fresh streams into aggregate_.
+  /// Redraws the given ledger slots, each on its own stream, into
+  /// aggregate_.
   void resample_slots(std::span<const std::uint32_t> slots);
   /// Adaptive epochs until the stop rule holds on aggregate_; returns the
   /// samples taken.
@@ -125,6 +134,7 @@ class IncrementalBc {
   epoch::StateFrame aggregate_;
   SampleLedger ledger_;
   std::uint32_t vertex_diameter_ = 0;
+  std::uint64_t diameter_bfs_ = 0;
   std::uint64_t next_stream_ = 0;
   std::uint32_t epochs_ = 0;
   bool ran_ = false;

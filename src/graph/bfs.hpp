@@ -8,6 +8,7 @@
 #pragma once
 
 #include <cstdint>
+#include <span>
 #include <vector>
 
 #include "graph/graph.hpp"
@@ -63,5 +64,35 @@ BfsSummary bfs(const Graph& graph, Vertex source, BfsWorkspace& ws);
 /// (kUnreachable for vertices in other components).
 inline constexpr std::uint32_t kUnreachable = 0xffffffffu;
 std::vector<std::uint32_t> bfs_distances(const Graph& graph, Vertex source);
+
+/// Bit-parallel multi-source BFS (Then et al., "The More the Merrier",
+/// PVLDB 8(4), 2014) computing the eccentricities of up to kLanes sources
+/// in one traversal. Lane j of every per-vertex word belongs to source j:
+/// `seen` holds the lanes that reached the vertex, `frontier` the lanes
+/// that reached it at the current level. A vertex's adjacency list is read
+/// once per level at which some lane reaches it, not once per lane, so on
+/// small-world graphs a batch costs a few scalar BFS instead of kLanes.
+class EccentricityBatch {
+ public:
+  static constexpr std::size_t kLanes = 64;
+
+  explicit EccentricityBatch(Vertex num_vertices)
+      : seen_(num_vertices, 0), frontier_(num_vertices, 0),
+        next_(num_vertices, 0) {}
+
+  /// Writes to ecc[j] the eccentricity of sources[j] within its component
+  /// (equal to bfs(graph, sources[j], ws).eccentricity).
+  /// 1 <= sources.size() <= kLanes, ecc.size() == sources.size().
+  void run(const Graph& graph, std::span<const Vertex> sources,
+           std::span<std::uint32_t> ecc);
+
+ private:
+  std::vector<std::uint64_t> seen_;
+  std::vector<std::uint64_t> frontier_;
+  std::vector<std::uint64_t> next_;
+  std::vector<Vertex> frontier_list_;
+  std::vector<Vertex> next_list_;
+  std::vector<Vertex> touched_;
+};
 
 }  // namespace distbc::graph

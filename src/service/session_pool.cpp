@@ -238,9 +238,9 @@ dynamic::ApplyReport SessionPool::apply(dynamic::EdgeBatch batch) {
 
 void SessionPool::rebroadcast_warm() {
   // Replica 0's adopt pass re-stamped the surviving calibrations to the
-  // new fingerprint and dropped the violated ones; that set becomes the
-  // whole pool cache (old-fingerprint entries must not be re-preloaded -
-  // provenance would reject them anyway).
+  // new fingerprint and dropped those whose omega bucket the batch grew;
+  // that set becomes the whole pool cache (old-fingerprint entries must
+  // not be re-preloaded - provenance would reject them anyway).
   const auto states = replicas_[0]->calibrations();
   std::uint64_t saved = 0;
   {

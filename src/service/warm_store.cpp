@@ -242,6 +242,7 @@ bool WarmStore::save(const bc::KadabraWarmState& state) const {
   out << "seed = " << params.seed << '\n';
   out << "initial_samples = " << params.initial_samples << '\n';
   out << "balancing = " << encode_double(params.balancing) << '\n';
+  // Phase 1's bound: an upper bound in the exact value's omega bucket.
   out << "vertex_diameter = " << state.vertex_diameter << '\n';
   out << "omega = " << state.context.omega << '\n';
   out << "context_initial_samples = " << state.context.initial_samples << '\n';

@@ -184,6 +184,7 @@ TEST(SessionReuse, SecondQuerySkipsDiameterAndCalibrationEntirely) {
   EXPECT_FALSE(first.calibration_reused);
   EXPECT_GT(first.phases.seconds(Phase::kDiameter), 0.0);
   EXPECT_GT(first.phases.seconds(Phase::kCalibration), 0.0);
+  EXPECT_GE(first.diameter_bfs, 3u);  // at least two sweeps and a root
 
   const api::Result second = session.run(query);
   ASSERT_TRUE(second.status.ok) << second.status.message;
@@ -192,6 +193,7 @@ TEST(SessionReuse, SecondQuerySkipsDiameterAndCalibrationEntirely) {
   // the second query are exactly zero.
   EXPECT_EQ(second.phases.seconds(Phase::kDiameter), 0.0);
   EXPECT_EQ(second.phases.seconds(Phase::kCalibration), 0.0);
+  EXPECT_EQ(second.diameter_bfs, 0u);
   // Deterministic mode: reusing the cached calibration changes nothing.
   ASSERT_EQ(second.scores.size(), first.scores.size());
   for (std::size_t v = 0; v < first.scores.size(); ++v)

@@ -4,6 +4,7 @@
 #include "gen/erdos_renyi.hpp"
 #include "graph/bfs.hpp"
 #include "graph/builder.hpp"
+#include "support/random.hpp"
 
 namespace distbc::graph {
 namespace {
@@ -106,6 +107,47 @@ TEST(Bfs, ManyReusesDoNotLeakState) {
     const BfsSummary summary = bfs(graph, 5, ws);
     ASSERT_EQ(summary.reached, expected);
   }
+}
+
+TEST(EccentricityBatch, MatchesScalarBfsOnRandomGraphs) {
+  // Sparse and dense random graphs, several components each; batches of
+  // every width with repeated sources, reusing one workspace throughout.
+  Rng rng(99);
+  for (const std::uint64_t seed : {1ull, 2ull, 3ull, 4ull}) {
+    const Vertex n = 300;
+    const Graph graph = gen::erdos_renyi(n, seed % 2 == 0 ? 280 : 1500, seed);
+    BfsWorkspace ws(n);
+    EccentricityBatch batch(n);
+    for (int round = 0; round < 12; ++round) {
+      const auto width = static_cast<std::size_t>(
+          round == 0 ? EccentricityBatch::kLanes
+                     : rng.next_range(1, EccentricityBatch::kLanes));
+      std::vector<Vertex> sources(width);
+      for (Vertex& s : sources) s = static_cast<Vertex>(rng.next_bounded(n));
+      std::vector<std::uint32_t> ecc(width);
+      batch.run(graph, sources, ecc);
+      for (std::size_t j = 0; j < width; ++j) {
+        ASSERT_EQ(ecc[j], bfs(graph, sources[j], ws).eccentricity)
+            << "seed " << seed << " round " << round << " lane " << j;
+      }
+    }
+  }
+}
+
+TEST(EccentricityBatch, PathAndSingleVertex) {
+  const Graph path = path_graph(9);
+  EccentricityBatch batch(path.num_vertices());
+  const std::vector<Vertex> sources = {0, 4, 8, 2};
+  std::vector<std::uint32_t> ecc(sources.size());
+  batch.run(path, sources, ecc);
+  EXPECT_EQ(ecc, (std::vector<std::uint32_t>{8, 4, 8, 6}));
+
+  const Graph single = from_edges(1, {});
+  EccentricityBatch one(1);
+  const std::vector<Vertex> source = {0};
+  std::vector<std::uint32_t> zero(1, 7);
+  one.run(single, source, zero);
+  EXPECT_EQ(zero[0], 0u);
 }
 
 }  // namespace

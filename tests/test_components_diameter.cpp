@@ -1,13 +1,19 @@
 // Tests for connected components, largest-component extraction, two-sweep,
-// iFUB, and vertex-diameter bounds.
+// iFUB (exact and stopped at the omega bucket), and vertex-diameter bounds.
 #include <gtest/gtest.h>
 
+#include <cmath>
+
+#include "gen/barabasi_albert.hpp"
 #include "gen/erdos_renyi.hpp"
+#include "gen/hyperbolic.hpp"
+#include "gen/rmat.hpp"
 #include "gen/road.hpp"
 #include "graph/bfs.hpp"
 #include "graph/builder.hpp"
 #include "graph/components.hpp"
 #include "graph/diameter.hpp"
+#include "support/random.hpp"
 
 namespace distbc::graph {
 namespace {
@@ -25,6 +31,38 @@ std::uint32_t brute_force_diameter(const Graph& graph) {
   for (Vertex v = 0; v < graph.num_vertices(); ++v)
     best = std::max(best, bfs(graph, v, ws).eccentricity);
   return best;
+}
+
+/// A random connected graph on 1 to 10 vertices: G(n, p) with p drawn
+/// uniformly, reduced to its largest component.
+Graph random_small_connected(Rng& rng) {
+  const auto n = static_cast<Vertex>(rng.next_range(1, 10));
+  const double p = rng.next_double();
+  std::vector<std::pair<Vertex, Vertex>> edges;
+  for (Vertex u = 0; u < n; ++u)
+    for (Vertex v = u + 1; v < n; ++v)
+      if (rng.next_bool(p)) edges.emplace_back(u, v);
+  return largest_component(from_edges(n, edges));
+}
+
+/// Connected members of every src/gen family, a few hundred vertices each.
+std::vector<Graph> family_graphs() {
+  std::vector<Graph> graphs;
+  graphs.push_back(largest_component(gen::barabasi_albert(600, 2, 3)));
+  graphs.push_back(largest_component(gen::erdos_renyi(500, 1200, 4)));
+  gen::HyperbolicParams hyperbolic;
+  hyperbolic.num_vertices = 600;
+  hyperbolic.average_degree = 8.0;
+  graphs.push_back(largest_component(gen::hyperbolic(hyperbolic, 5)));
+  gen::RmatParams rmat;
+  rmat.scale = 9;
+  rmat.edge_factor = 4.0;
+  graphs.push_back(largest_component(gen::rmat(rmat, 6)));
+  gen::RoadParams road;
+  road.width = 30;
+  road.height = 12;
+  graphs.push_back(largest_component(gen::road(road, 7)));
+  return graphs;
 }
 
 TEST(Components, SingleComponent) {
@@ -101,6 +139,68 @@ TEST(Ifub, ExactOnKnownShapes) {
   EXPECT_EQ(ifub_diameter(k4).diameter, 1u);
 }
 
+TEST(Ifub, KFourMinusOneEdgeRegression) {
+  // K4 without {2, 3}: D = 2, and every vertex sits within one hop of the
+  // root. Stopping once lower > 2(i - 1), before level i was scanned,
+  // returned 1: the proven bound at that point is only max(lower, 2i).
+  const Graph graph = from_edges(4, {{0, 1}, {0, 2}, {0, 3}, {1, 2}, {1, 3}});
+  EXPECT_EQ(ifub_diameter(graph).diameter, 2u);
+  EXPECT_EQ(brute_force_diameter(graph), 2u);
+}
+
+TEST(Ifub, ExactMatchesBruteForceOnManySmallGraphs) {
+  Rng rng(20240613);
+  int mismatches = 0;
+  for (int trial = 0; trial < 120000; ++trial) {
+    const Graph graph = random_small_connected(rng);
+    const std::uint32_t exact = brute_force_diameter(graph);
+    if (ifub_diameter(graph).diameter != exact && ++mismatches <= 5) {
+      ADD_FAILURE() << "trial " << trial << ": n=" << graph.num_vertices()
+                    << " m=" << graph.num_edges() << " D=" << exact;
+    }
+  }
+  EXPECT_EQ(mismatches, 0);
+}
+
+TEST(Ifub, BucketBoundSharesTheExactBucket) {
+  const auto check = [](const Graph& graph, std::uint32_t exact) {
+    const DiameterResult bucket =
+        ifub_diameter(graph, DiameterStop::kOmegaBucket);
+    EXPECT_GE(bucket.diameter, exact);
+    EXPECT_EQ(omega_bucket(bucket.diameter + 1), omega_bucket(exact + 1))
+        << "D=" << exact << " bound=" << bucket.diameter;
+    // The bucket stop is weaker than the exact one: never more work.
+    EXPECT_LE(bucket.num_bfs, ifub_diameter(graph).num_bfs);
+  };
+  Rng rng(77);
+  for (int trial = 0; trial < 20000; ++trial) {
+    const Graph graph = random_small_connected(rng);
+    check(graph, brute_force_diameter(graph));
+  }
+  for (const Graph& graph : family_graphs())
+    check(graph, brute_force_diameter(graph));
+  check(path_graph(40), 39);
+}
+
+TEST(Ifub, BucketBoundOnBarabasiAlbertTakesFourEccentricities) {
+  // Two sweeps, the root, and the hub already bracket D in one bucket on
+  // the BA structure whose exact iFUB needs well over a thousand.
+  const Graph graph = gen::barabasi_albert(10000, 4, 2);
+  const DiameterResult bucket =
+      ifub_diameter(graph, DiameterStop::kOmegaBucket);
+  EXPECT_LE(bucket.num_bfs, 4u);
+  EXPECT_EQ(vertex_diameter(graph, /*ifub=*/true).num_bfs, bucket.num_bfs);
+}
+
+TEST(OmegaBucket, IsFloorLog2OfVertexDiameterMinusTwo) {
+  for (std::uint32_t vd = 0; vd < 5000; ++vd) {
+    const double expected =
+        vd > 2 ? std::floor(std::log2(static_cast<double>(vd - 2))) : 0.0;
+    EXPECT_EQ(static_cast<double>(omega_bucket(vd)), expected) << vd;
+  }
+  EXPECT_EQ(omega_bucket(0xffffffffu), 31u);
+}
+
 TEST(Ifub, SingleVertex) {
   EXPECT_EQ(ifub_diameter(from_edges(1, {})).diameter, 0u);
 }
@@ -142,23 +242,27 @@ TEST(Ifub, BoundedWorkOnLowDiameterGraphs) {
 }
 
 TEST(VertexDiameter, ExactIsDiameterPlusOne) {
+  // On a path the two-sweep bound is tight, so even the bucket-stopped
+  // iFUB returns the exact vertex diameter.
   const Graph graph = path_graph(9);
-  EXPECT_EQ(vertex_diameter(graph, /*exact=*/true), 9u);
+  EXPECT_EQ(vertex_diameter(graph, /*ifub=*/true).value, 9u);
 }
 
 TEST(VertexDiameter, ApproximationUpperBoundsExact) {
   for (const std::uint64_t seed : {21ull, 22ull, 23ull}) {
     const Graph graph = largest_component(gen::erdos_renyi(150, 300, seed));
-    const std::uint32_t exact = vertex_diameter(graph, true);
-    const std::uint32_t approx = vertex_diameter(graph, false);
-    EXPECT_GE(approx, exact);
+    const std::uint32_t exact = ifub_diameter(graph).diameter + 1;
+    const std::uint32_t bucket = vertex_diameter(graph, true).value;
+    const std::uint32_t approx = vertex_diameter(graph, false).value;
+    EXPECT_GE(bucket, exact);
+    EXPECT_GE(approx, bucket);  // both derive from the midpoint eccentricity
     EXPECT_LE(approx, 2 * exact);  // 2-approximation
   }
 }
 
 TEST(VertexDiameter, SingleVertex) {
-  EXPECT_EQ(vertex_diameter(from_edges(1, {}), true), 1u);
-  EXPECT_EQ(vertex_diameter(from_edges(1, {}), false), 1u);
+  EXPECT_EQ(vertex_diameter(from_edges(1, {}), true).value, 1u);
+  EXPECT_EQ(vertex_diameter(from_edges(1, {}), false).value, 1u);
 }
 
 }  // namespace

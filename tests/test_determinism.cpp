@@ -11,9 +11,13 @@
 #include "bc/brandes.hpp"
 #include "bc/kadabra.hpp"
 #include "bc/rk.hpp"
+#include "gen/barabasi_albert.hpp"
 #include "gen/erdos_renyi.hpp"
+#include "gen/hyperbolic.hpp"
 #include "gen/rmat.hpp"
+#include "gen/road.hpp"
 #include "graph/components.hpp"
+#include "graph/diameter.hpp"
 
 namespace distbc::bc {
 namespace {
@@ -62,6 +66,74 @@ TEST(Determinism, RkMultiThreadedIsBitwiseReproducible) {
   const BcResult b = rk(graph, params, 6);
   for (std::size_t v = 0; v < a.scores.size(); ++v)
     EXPECT_DOUBLE_EQ(a.scores[v], b.scores[v]);
+}
+
+TEST(Determinism, BucketPhaseOneMatchesExactPhaseOneBitwise) {
+  // Phase 1 reaches KADABRA's phases 2-3 only through begin_context (omega
+  // and the calibration sample count) and RK only through rk_budget. On
+  // every generator family, the bucket-stopped bound must leave both at
+  // their exact-diameter values, and a phase 3 run from the exact
+  // diameter's context must match the bucket run in every sample, epoch,
+  // and score.
+  std::vector<graph::Graph> graphs;
+  graphs.push_back(graph::largest_component(gen::barabasi_albert(800, 3, 2)));
+  graphs.push_back(graph::largest_component(gen::erdos_renyi(600, 1500, 3)));
+  gen::HyperbolicParams hyperbolic;
+  hyperbolic.num_vertices = 800;
+  hyperbolic.average_degree = 8.0;
+  graphs.push_back(graph::largest_component(gen::hyperbolic(hyperbolic, 4)));
+  gen::RmatParams rmat;
+  rmat.scale = 9;
+  rmat.edge_factor = 6.0;
+  graphs.push_back(graph::largest_component(gen::rmat(rmat, 5)));
+  gen::RoadParams road;
+  road.width = 30;
+  road.height = 15;
+  graphs.push_back(graph::largest_component(gen::road(road, 6)));
+
+  for (const graph::Graph& graph : graphs) {
+    SCOPED_TRACE(graph.num_vertices());
+    const std::uint32_t exact_vd = graph::ifub_diameter(graph).diameter + 1;
+
+    KadabraOptions options;
+    options.params.epsilon = 0.05;
+    options.params.seed = 91;
+    options.engine.deterministic = true;
+    const BcResult bucket = kadabra_run(graph, options, nullptr);
+    EXPECT_GE(bucket.vertex_diameter, exact_vd);
+    EXPECT_EQ(graph::omega_bucket(bucket.vertex_diameter),
+              graph::omega_bucket(exact_vd));
+
+    const KadabraContext exact_context =
+        begin_context(options.params, exact_vd);
+    ASSERT_EQ(exact_context.omega, bucket.warm->context.omega);
+    ASSERT_EQ(exact_context.initial_samples,
+              bucket.warm->context.initial_samples);
+    // Equal sample counts on the same streams: phase 2 calibrates the same.
+    auto exact_state = std::make_shared<KadabraWarmState>(*bucket.warm);
+    exact_state->vertex_diameter = exact_vd;
+    exact_state->context = exact_context;
+    exact_state->context.calibration = bucket.warm->context.calibration;
+    options.warm_start = exact_state;
+    const BcResult exact = kadabra_run(graph, options, nullptr);
+    EXPECT_EQ(exact.omega, bucket.omega);
+    EXPECT_EQ(exact.samples, bucket.samples);
+    EXPECT_EQ(exact.epochs, bucket.epochs);
+    ASSERT_EQ(exact.scores.size(), bucket.scores.size());
+    for (std::size_t v = 0; v < exact.scores.size(); ++v)
+      ASSERT_EQ(exact.scores[v], bucket.scores[v]) << "vertex " << v;
+
+    // RK draws exactly its budget on fixed streams: an equal budget is an
+    // equal sample set.
+    RkParams rk_params;
+    rk_params.epsilon = 0.05;
+    rk_params.seed = 92;
+    const BcResult rk_result = rk(graph, rk_params, 1);
+    EXPECT_EQ(rk_result.omega,
+              rk_budget(exact_vd, rk_params.epsilon, rk_params.delta));
+    EXPECT_EQ(rk_result.samples, rk_result.omega);
+    EXPECT_GT(rk_result.diameter_bfs, 0u);
+  }
 }
 
 TEST(Determinism, FrameRepresentationDoesNotChangeSingleRankResults) {

@@ -2,15 +2,17 @@
 // that could corrupt the CSR or the ledger accounting, MutableGraph must
 // serve small batches in place and rebuild on slot overflow (and revert
 // exactly), IncrementalBc must keep clean samples across churn, replay
-// bitwise-deterministically, and recalibrate only on a violated
-// vertex-diameter bound, Bloom sketch false positives must cost only
-// extra resamples (never wrong scores), and the Session/pool/dispatcher
-// apply paths must reject typed and stay bitwise identical across pool
-// sizes.
+// bitwise-deterministically, recalibrate only when the vertex-diameter
+// bound's omega bucket grows, and stay within epsilon of exact Brandes
+// under hub churn; Bloom sketch false positives must cost only extra
+// resamples (never wrong scores), and the Session/pool/dispatcher apply
+// paths must reject typed and stay bitwise identical across pool sizes.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <atomic>
 #include <chrono>
+#include <cmath>
 #include <cstdint>
 #include <memory>
 #include <thread>
@@ -18,10 +20,12 @@
 
 #include "api/config.hpp"
 #include "api/session.hpp"
+#include "bc/brandes.hpp"
 #include "dynamic/dynamic_state.hpp"
 #include "dynamic/edge_batch.hpp"
 #include "dynamic/incremental_bc.hpp"
 #include "dynamic/mutable_graph.hpp"
+#include "gen/barabasi_albert.hpp"
 #include "gen/erdos_renyi.hpp"
 #include "graph/components.hpp"
 #include "graph/diameter.hpp"
@@ -264,7 +268,7 @@ TEST(IncrementalBc, RunPlusRefreshSequencesReplayBitwise) {
     EXPECT_TRUE(graph::is_connected(*mutable_graph.snapshot()));
     engine.refresh(
         mutable_graph.snapshot(), second,
-        graph::vertex_diameter(*mutable_graph.snapshot(), /*exact=*/true));
+        graph::vertex_diameter(*mutable_graph.snapshot(), /*ifub=*/true).value);
     return std::tuple{engine.scores(), engine.samples(), engine.next_stream(),
                       engine.epochs()};
   };
@@ -353,7 +357,8 @@ TEST(SampleLedger, BloomFalsePositivesOnlyCostExtraResamples) {
     mutable_graph.apply(batch);
     ASSERT_TRUE(graph::is_connected(*mutable_graph.snapshot()));
     const std::uint32_t bound =
-        deletes ? graph::vertex_diameter(*mutable_graph.snapshot(), true) : 0;
+        deletes ? graph::vertex_diameter(*mutable_graph.snapshot(), true).value
+                : 0;
     const auto exact_stats =
         exact_engine.refresh(mutable_graph.snapshot(), batch, bound);
     const auto bloom_stats =
@@ -500,6 +505,70 @@ TEST(SessionApply, IncrementalQueriesSurviveChurn) {
   bad.insert(2, 2);
   EXPECT_FALSE(session.apply(std::move(bad)).status.ok);
   EXPECT_TRUE(session.run(query).status.ok);
+}
+
+TEST(SessionApply, HubChurnStaysWithinEpsilonOfBrandes) {
+  // Each batch joins three of the eight highest-degree vertices to random
+  // non-neighbours and deletes the previous batch's three edges: churn
+  // where most shortest paths run. Redrawing a dirty sample on a fresh
+  // stream (a new pair) left the kept samples uniform only among pairs the
+  // batches missed, and the hub scores drifted 3-5 epsilon low; each slot
+  // is now redrawn on its own stream (same pair, path on the new graph).
+  const auto graph = std::make_shared<const graph::Graph>(
+      gen::barabasi_albert(1500, 2, 11));
+  const graph::Vertex n = graph->num_vertices();
+  api::Config config;
+  config.seed = 2468;
+  api::Session session(graph, config);
+  ASSERT_TRUE(session.status().ok);
+  api::BetweennessQuery query;
+  query.epsilon = 0.01;
+  query.delta = 0.1;
+  query.incremental = true;
+  const api::Result first = session.run(query);
+  ASSERT_TRUE(first.status.ok) << first.status.message;
+  EXPECT_GT(first.diameter_bfs, 0u);  // phase 1 ran for this query
+
+  std::vector<graph::Vertex> hubs(n);
+  for (graph::Vertex v = 0; v < n; ++v) hubs[v] = v;
+  std::partial_sort(hubs.begin(), hubs.begin() + 8, hubs.end(),
+                    [&](graph::Vertex a, graph::Vertex b) {
+                      return graph->degree(a) != graph->degree(b)
+                                 ? graph->degree(a) > graph->degree(b)
+                                 : a < b;
+                    });
+  Rng rng(13);
+  std::vector<dynamic::Edge> previous;
+  for (int round = 0; round < 8; ++round) {
+    const graph::Graph& current = session.graph();
+    dynamic::EdgeBatch batch;
+    std::vector<dynamic::Edge> added;
+    while (added.size() < 3) {
+      const graph::Vertex hub = hubs[rng.next_bounded(8)];
+      const auto other = static_cast<graph::Vertex>(rng.next_bounded(n));
+      const dynamic::Edge edge{std::min(hub, other), std::max(hub, other)};
+      if (other == hub || current.has_edge(edge.u, edge.v) ||
+          std::find(added.begin(), added.end(), edge) != added.end()) {
+        continue;
+      }
+      batch.insert(edge.u, edge.v);
+      added.push_back(edge);
+    }
+    for (const dynamic::Edge& edge : previous) batch.remove(edge.u, edge.v);
+    const dynamic::ApplyReport report = session.apply(std::move(batch));
+    ASSERT_TRUE(report.status.ok) << report.status.message;
+    EXPECT_EQ(report.diameter_bfs > 0, !previous.empty()) << round;
+    previous = added;
+
+    const api::Result result = session.run(query);
+    ASSERT_TRUE(result.status.ok);
+    EXPECT_EQ(result.diameter_bfs, 0u);  // served by the live engine
+    const std::vector<double> exact = bc::brandes(session.graph()).scores;
+    double max_error = 0.0;
+    for (graph::Vertex v = 0; v < n; ++v)
+      max_error = std::max(max_error, std::abs(result.scores[v] - exact[v]));
+    EXPECT_LE(max_error, query.epsilon) << "round " << round;
+  }
 }
 
 TEST(SessionPoolApply, PostApplyResponsesBitwiseIdenticalAcrossPoolSizes) {

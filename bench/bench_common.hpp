@@ -235,12 +235,11 @@ class JsonReport {
   Fields summary_;
 };
 
-/// Adds the per-collective bytes-moved breakdown (comm::CommVolume) to
+/// Adds the per-collective bytes-moved breakdown (mpisim::CommVolume) to
 /// the current JSON row - Table II-style communication-volume reporting
 /// for any bench that runs MPI configurations.
 inline void add_comm_volume_fields(JsonReport& json,
                                    const mpisim::CommVolume& volume) {
-  json.field("substrate", std::string(volume.substrate));
   json.field("reduce_bytes", static_cast<double>(volume.reduce_bytes));
   json.field("reduce_merge_bytes",
              static_cast<double>(volume.reduce_merge_bytes));

@@ -1,9 +1,9 @@
 // Demonstrates the library's cluster-facing API: bind a graph to a
 // simulated cluster shape through api::Session (which owns the runtime and
-// the comm::Substrate construction - no direct mpisim plumbing here), run
-// betweenness queries across rank counts, and report scaling plus the
-// per-collective communication-volume breakdown (comm::CommVolume), tagged
-// with the substrate that moved it.
+// its communicators - no direct mpisim plumbing here), run betweenness
+// queries across rank counts on the selected network preset, and report
+// scaling plus the per-collective communication-volume breakdown
+// (mpisim::CommVolume).
 //
 //   ./cluster_scaling [scale=13] [eps=0.005] [latency_us=2]
 //                     [frame_rep=dense|sparse|auto] [tree_radix=0|2|...]
@@ -39,7 +39,8 @@ int main(int argc, char** argv) {
   options.describe("sample_batch",
                    "samples per traversal batch (1 = scalar, 0 = auto)");
   options.describe("substrate",
-                   "comm backend the collectives run on (mpisim|ncclsim)");
+                   "network preset the collectives are priced with "
+                   "(mpisim|ncclsim)");
   options.finish("Rank-scaling sweep on a simulated cluster.");
 
   gen::HyperbolicParams gen_params;
@@ -57,7 +58,7 @@ int main(int argc, char** argv) {
     return 2;
   }
   const std::string substrate_name = options.get_string("substrate", "mpisim");
-  const auto substrate = comm::substrate_from_name(substrate_name);
+  const auto substrate = mpisim::substrate_from_name(substrate_name);
   if (!substrate) {
     std::fprintf(stderr, "unknown substrate '%s' (valid: mpisim, ncclsim)\n",
                  substrate_name.c_str());
@@ -80,7 +81,7 @@ int main(int argc, char** argv) {
               epoch::frame_rep_name(frame_rep), tree_radix, ranks_per_node,
               leader_radix, sample_batch, substrate_name.c_str());
 
-  comm::NetworkModel network;
+  mpisim::NetworkModel network;
   network.remote_latency_s = options.get_double("latency_us", 2.0) * 1e-6;
 
   std::printf("%-8s %-10s %-10s %-8s %-9s %-12s %-12s %-12s\n", "ranks",
@@ -110,7 +111,7 @@ int main(int argc, char** argv) {
     }
 
     if (ranks == 1) base_time = result.total_seconds;
-    const comm::CommVolume& volume = result.comm_volume;
+    const mpisim::CommVolume& volume = result.comm_volume;
     std::printf("%-8d %-10.2f %-10.2f %-8llu %-9.2f %-12llu %-12llu %-12llu\n",
                 ranks, result.total_seconds,
                 result.phases.seconds(Phase::kSampling),
@@ -124,7 +125,7 @@ int main(int argc, char** argv) {
               "sequential phases\n(diameter, calibration) gain weight - the "
               "paper's Fig. 2a in miniature. With\nframe_rep=sparse|auto the "
               "reduce column collapses into the (far smaller)\nmerge column: "
-              "aggregation bytes follow samples taken, not |V|. Substrate\n"
-              "selection changes the modeled clock, never the scores.\n");
+              "aggregation bytes follow samples taken, not |V|. The network\n"
+              "preset changes the modeled clock, never the scores.\n");
   return 0;
 }

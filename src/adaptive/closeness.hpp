@@ -21,13 +21,12 @@
 #include <cstdint>
 #include <memory>
 #include <span>
-#include <string>
 #include <vector>
 
-#include "comm/substrate.hpp"
 #include "engine/engine.hpp"
 #include "epoch/frame_codec.hpp"
 #include "graph/graph.hpp"
+#include "mpisim/comm.hpp"
 
 namespace distbc::tune {
 struct TuningProfile;  // tune/tuner.hpp
@@ -139,11 +138,9 @@ struct ClosenessResult {
   /// rank 0, like scores) - the same observability surface BcResult has,
   /// feeding the unified api::Result.
   PhaseTimer phases;
-  comm::CommVolume comm_volume;
+  mpisim::CommVolume comm_volume;
   /// Engine configuration the run actually used (after autotuning).
   engine::EngineOptions engine_used;
-  /// The comm substrate the run executed on (comm::substrate_name value).
-  std::string substrate_used;
 
   [[nodiscard]] std::vector<graph::Vertex> top_k(std::size_t k) const;
 };
@@ -157,12 +154,12 @@ struct ClosenessResult {
 /// Per-rank driver (result valid at world rank 0); connected graphs only.
 [[nodiscard]] ClosenessResult closeness_rank(const graph::Graph& graph,
                                              const ClosenessParams& params,
-                                             comm::Substrate& world);
+                                             mpisim::Comm& world);
 
 [[nodiscard]] ClosenessResult closeness_mpi(const graph::Graph& graph,
                                             const ClosenessParams& params,
                                             int num_ranks,
                                             int ranks_per_node = 1,
-                                            comm::NetworkModel network = {});
+                                            mpisim::NetworkModel network = {});
 
 }  // namespace distbc::adaptive

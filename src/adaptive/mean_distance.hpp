@@ -18,13 +18,12 @@
 #include <cstdint>
 #include <memory>
 #include <span>
-#include <string>
 #include <vector>
 
-#include "comm/substrate.hpp"
 #include "engine/engine.hpp"
 #include "epoch/frame_codec.hpp"
 #include "graph/graph.hpp"
+#include "mpisim/comm.hpp"
 #include "support/timer.hpp"
 
 namespace distbc::tune {
@@ -120,11 +119,9 @@ struct MeanDistanceResult {
   /// rank 0) - the same observability surface BcResult has, feeding the
   /// unified api::Result.
   PhaseTimer phases;
-  comm::CommVolume comm_volume;
+  mpisim::CommVolume comm_volume;
   /// Engine configuration the run actually used (after autotuning).
   engine::EngineOptions engine_used;
-  /// The comm substrate the run executed on (comm::substrate_name value).
-  std::string substrate_used;
 };
 
 /// Empirical-Bernstein half-width; exposed for tests.
@@ -135,11 +132,11 @@ struct MeanDistanceResult {
 /// Result fields are valid at world rank 0. Requires a connected graph.
 [[nodiscard]] MeanDistanceResult mean_distance_rank(
     const graph::Graph& graph, const MeanDistanceParams& params,
-    comm::Substrate& world);
+    mpisim::Comm& world);
 
 /// Convenience wrapper over a fresh simulated cluster.
 [[nodiscard]] MeanDistanceResult mean_distance_mpi(
     const graph::Graph& graph, const MeanDistanceParams& params,
-    int num_ranks, int ranks_per_node = 1, comm::NetworkModel network = {});
+    int num_ranks, int ranks_per_node = 1, mpisim::NetworkModel network = {});
 
 }  // namespace distbc::adaptive

@@ -224,9 +224,9 @@ const std::vector<Entry>& entries() {
               return std::to_string(config.sample_batch);
             }},
       Entry{{"comm_substrate", "DISTBC_COMM_SUBSTRATE",
-             "collective backend: mpisim | ncclsim"},
+             "network preset: mpisim | ncclsim"},
             [](Config& config, std::string_view value) {
-              const auto parsed = comm::substrate_from_name(value);
+              const auto parsed = mpisim::substrate_from_name(value);
               if (!parsed.has_value())
                 return bad_value("comm_substrate", value, "mpisim|ncclsim");
               config.comm_substrate = *parsed;
@@ -234,7 +234,7 @@ const std::vector<Entry>& entries() {
             },
             [](const Config& config) {
               return std::string(
-                  comm::substrate_name(config.comm_substrate));
+                  mpisim::substrate_name(config.comm_substrate));
             }},
       DISTBC_U64_KEY("seed", "DISTBC_SEED", seed, "RNG seed"),
       DISTBC_BOOL_KEY("exact_diameter", "DISTBC_EXACT_DIAMETER",

@@ -32,8 +32,8 @@
 #include <vector>
 
 #include "api/status.hpp"
-#include "comm/substrate.hpp"
 #include "engine/engine.hpp"
+#include "mpisim/network.hpp"
 
 namespace distbc::tune {
 struct TuningProfile;  // tune/tuner.hpp
@@ -77,14 +77,15 @@ struct Config {
   /// bitwise identical for every value.
   int sample_batch = 1;
 
-  // --- Communication substrate --------------------------------------------
-  /// Which comm::Substrate backend the session's collectives execute on:
-  /// kMpisim (the paper's simulated-MPI transport) or kNcclsim (a modeled
-  /// NCCL-style backend: NVLink-like intra-node and IB-like inter-node
-  /// links, ring all-reduce pricing, kernel-launch latency, device-side
-  /// progress). Deterministic-mode scores are bitwise identical across
-  /// substrates; only the modeled clock and link economics differ.
-  comm::SubstrateKind comm_substrate = comm::SubstrateKind::kMpisim;
+  // --- Network preset -----------------------------------------------------
+  /// Which network preset the session's communicator is priced with
+  /// (mpisim::network_model_for): kMpisim (the paper's simulated-MPI
+  /// transport) or kNcclsim (a modeled NCCL-style stack: NVLink-like
+  /// intra-node and IB-like inter-node links, ring all-reduce pricing,
+  /// kernel-launch latency, device-side progress). Deterministic-mode
+  /// scores are bitwise identical across presets; only the modeled clock
+  /// and link economics differ.
+  mpisim::SubstrateKind comm_substrate = mpisim::SubstrateKind::kMpisim;
 
   // --- Sampling / statistics knobs ----------------------------------------
   std::uint64_t seed = 0x5eed;
@@ -132,10 +133,10 @@ struct Config {
   std::uint64_t dynamic_sketch_cap = 256;
 
   // --- Typed-only fields (programmatic, not in the key table) -------------
-  /// Link economics of the modeled cluster. The substrate profile
+  /// Link economics of the modeled cluster. The network preset
   /// (network_model_for) is applied on top of this at Session
   /// construction when comm_substrate != kMpisim.
-  comm::NetworkModel network{};
+  mpisim::NetworkModel network{};
   /// A pre-captured tuning profile; takes precedence over `tune_profile`.
   std::shared_ptr<const tune::TuningProfile> profile;
 

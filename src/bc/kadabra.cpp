@@ -25,7 +25,7 @@ namespace {
 template <typename Frame>
 BcResult kadabra_run_frames(const graph::Graph& graph,
                             const KadabraOptions& options,
-                            comm::Substrate* world) {
+                            mpisim::Comm* world) {
   WallTimer total_timer;
   PhaseTimer phases;
   BcResult result;
@@ -220,7 +220,6 @@ BcResult kadabra_run_frames(const graph::Graph& graph,
 
   phases.merge(driver.phases);
   result.engine_used = engine_options;
-  result.substrate_used = world != nullptr ? world->name() : "";
   result.epochs = driver.epochs;
   result.samples_attempted = driver.samples_attempted;
 
@@ -273,7 +272,7 @@ BcResult kadabra_run_frames(const graph::Graph& graph,
 }  // namespace
 
 BcResult kadabra_run(const graph::Graph& graph, const KadabraOptions& options,
-                     comm::Substrate* world) {
+                     mpisim::Comm* world) {
   DISTBC_ASSERT(options.engine.threads_per_rank >= 1);
   DISTBC_ASSERT(options.omega_fraction > 0);
   // Autotuned runs also get SparseFrame: the tuner may upgrade frame_rep
@@ -309,13 +308,13 @@ BcResult kadabra_shm(const graph::Graph& graph,
 
 BcResult kadabra_mpi_rank(const graph::Graph& graph,
                           const KadabraOptions& options,
-                          comm::Substrate& world) {
+                          mpisim::Comm& world) {
   return kadabra_run(graph, options, &world);
 }
 
 BcResult kadabra_mpi(const graph::Graph& graph, const KadabraOptions& options,
                      int num_ranks, int ranks_per_node,
-                     comm::NetworkModel network) {
+                     mpisim::NetworkModel network) {
   // Compatibility layer: one-shot api::Session owning the cluster
   // lifecycle; the session binds the caller's graph without copying it.
   api::Config config;

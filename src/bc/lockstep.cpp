@@ -21,14 +21,14 @@ namespace {
 /// representation: flat elementwise reduce for StateFrame, delta images
 /// via reduce_merge for SparseFrame (the same wire formats the epoch
 /// engine uses, minus every overlap trick - this is the baseline).
-void round_reduce(comm::Substrate& world, const epoch::StateFrame& local,
+void round_reduce(mpisim::Comm& world, const epoch::StateFrame& local,
                   epoch::StateFrame& round_agg, epoch::FrameRep /*rep*/,
                   std::vector<std::uint64_t>& /*scratch*/) {
   world.reduce(std::span<const std::uint64_t>(local.raw()), round_agg.raw(),
                0);
 }
 
-void round_reduce(comm::Substrate& world, const epoch::SparseFrame& local,
+void round_reduce(mpisim::Comm& world, const epoch::SparseFrame& local,
                   epoch::SparseFrame& round_agg, epoch::FrameRep rep,
                   std::vector<std::uint64_t>& scratch) {
   scratch.clear();
@@ -44,7 +44,7 @@ void round_reduce(comm::Substrate& world, const epoch::SparseFrame& local,
 template <typename Frame>
 BcResult lockstep_frames(const graph::Graph& graph,
                          const LockstepOptions& options,
-                         comm::Substrate& world) {
+                         mpisim::Comm& world) {
   WallTimer total_timer;
   PhaseTimer phases;
   BcResult result;
@@ -172,8 +172,7 @@ BcResult lockstep_frames(const graph::Graph& graph,
     result.samples_attempted = world_taken;
     result.omega = context.omega;
     result.vertex_diameter = vd;
-    result.comm_volume = world.volume();
-    result.substrate_used = world.name();
+    result.comm_volume = world.stats().volume();
     result.comm_bytes = result.comm_volume.total();
     result.phases = phases;
   } else {
@@ -187,7 +186,7 @@ BcResult lockstep_frames(const graph::Graph& graph,
 
 BcResult lockstep_mpi_rank(const graph::Graph& graph,
                            const LockstepOptions& options,
-                           comm::Substrate& world) {
+                           mpisim::Comm& world) {
   DISTBC_ASSERT(options.threads_per_rank >= 1);
   return options.frame_rep == epoch::FrameRep::kDense
              ? lockstep_frames<epoch::StateFrame>(graph, options, world)
@@ -196,7 +195,7 @@ BcResult lockstep_mpi_rank(const graph::Graph& graph,
 
 BcResult lockstep_mpi(const graph::Graph& graph,
                       const LockstepOptions& options, int num_ranks,
-                      int ranks_per_node, comm::NetworkModel network) {
+                      int ranks_per_node, mpisim::NetworkModel network) {
   mpisim::RuntimeConfig config;
   config.num_ranks = num_ranks;
   config.ranks_per_node = ranks_per_node;
@@ -205,11 +204,9 @@ BcResult lockstep_mpi(const graph::Graph& graph,
 
   BcResult root_result;
   std::mutex result_mu;
-  runtime.run([&](auto& rank_comm) {
-    const auto substrate = comm::make_substrate(
-        comm::SubstrateKind::kMpisim, rank_comm);
-    BcResult local = lockstep_mpi_rank(graph, options, *substrate);
-    if (substrate->rank() == 0) {
+  runtime.run([&](mpisim::Comm& rank_comm) {
+    BcResult local = lockstep_mpi_rank(graph, options, rank_comm);
+    if (rank_comm.rank() == 0) {
       std::lock_guard lock(result_mu);
       root_result = std::move(local);
     }

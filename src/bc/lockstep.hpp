@@ -10,7 +10,7 @@
 #include "bc/result.hpp"
 #include "epoch/frame_codec.hpp"
 #include "graph/graph.hpp"
-#include "comm/substrate.hpp"
+#include "mpisim/comm.hpp"
 
 namespace distbc::bc {
 
@@ -30,11 +30,11 @@ struct LockstepOptions {
 
 [[nodiscard]] BcResult lockstep_mpi_rank(const graph::Graph& graph,
                                          const LockstepOptions& options,
-                                         comm::Substrate& world);
+                                         mpisim::Comm& world);
 
 [[nodiscard]] BcResult lockstep_mpi(const graph::Graph& graph,
                                     const LockstepOptions& options,
                                     int num_ranks, int ranks_per_node = 1,
-                                    comm::NetworkModel network = {});
+                                    mpisim::NetworkModel network = {});
 
 }  // namespace distbc::bc

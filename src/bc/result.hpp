@@ -4,7 +4,6 @@
 
 #include <cstdint>
 #include <memory>
-#include <string>
 #include <vector>
 
 #include "engine/engine.hpp"
@@ -41,17 +40,12 @@ struct BcResult {
   // --- Communication (MPI variants only) ----------------------------------
   std::uint64_t comm_bytes = 0;  // total payload moved by aggregations
   /// Per-collective breakdown of comm_bytes (dense reductions, sparse
-  /// merge reductions, window/p2p traffic, broadcasts), tagged with the
-  /// substrate that moved it.
-  comm::CommVolume comm_volume;
+  /// merge reductions, window/p2p traffic, broadcasts).
+  mpisim::CommVolume comm_volume;
 
   /// Engine configuration the adaptive phase actually ran with - identical
   /// to the caller's request unless the autotune path rewrote it.
   engine::EngineOptions engine_used;
-
-  /// The comm substrate the run executed on (comm::substrate_name value;
-  /// empty for communicator-free runs).
-  std::string substrate_used;
 
   /// The k highest (vertex, score) pairs, descending by score (ties by
   /// vertex id) - filled on *every* rank when KadabraOptions::top_k > 0,

@@ -29,7 +29,7 @@
 #include <vector>
 
 #include "graph/graph.hpp"
-#include "comm/substrate.hpp"
+#include "mpisim/comm.hpp"
 #include "support/assert.hpp"
 
 namespace distbc::bc {
@@ -78,7 +78,7 @@ template <typename Frame>
 /// callers that want it everywhere broadcast the 2k-word pair list, not a
 /// frame). Every round moves flat (vertex, count) uint64 pairs.
 template <typename Frame>
-[[nodiscard]] std::vector<TopKEntry> distributed_top_k(comm::Substrate& world,
+[[nodiscard]] std::vector<TopKEntry> distributed_top_k(mpisim::Comm& world,
                                                        const Frame& local,
                                                        std::size_t k) {
   const bool is_root = world.rank() == 0;

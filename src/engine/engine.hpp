@@ -33,8 +33,8 @@
 //     elementwise-reduction path (and the dense §IV-E window pass);
 //   dense_words()/encode()/decode_add()/add_dense() - the frame_codec
 //     serialization contract: variable-length wire images (dense or sparse
-//     index/count deltas), moved by the substrate reduce_merge path and
-//     scatter-added into the §IV-E window.
+//     index/count deltas), moved by the communicator's reduce_merge path
+//     and scatter-added into the §IV-E window.
 // EngineOptions::frame_rep picks the wire representation for frames that
 // support both; epoch::SparseFrame is serializable-only, so it always
 // rides the image path. In deterministic mode all representations produce
@@ -62,7 +62,7 @@
 #include "engine/streams.hpp"
 #include "epoch/epoch_manager.hpp"
 #include "epoch/frame_codec.hpp"
-#include "comm/substrate.hpp"
+#include "mpisim/comm.hpp"
 #include "support/timer.hpp"
 
 namespace distbc::engine {
@@ -177,11 +177,12 @@ struct EngineResult {
   std::uint64_t epochs = 0;
   std::uint64_t samples_attempted = 0;  // all ranks (valid at rank 0)
   /// Payload moved over the communicators this engine used, including the
-  /// hierarchical substrate (cumulative over the comm's lifetime).
+  /// hierarchical node and leader communicators (cumulative over the
+  /// comm's lifetime).
   std::uint64_t comm_bytes = 0;
   /// Per-collective breakdown of comm_bytes (dense reductions vs sparse
   /// merge reductions vs window/p2p vs broadcasts).
-  comm::CommVolume comm_volume{};
+  mpisim::CommVolume comm_volume{};
   PhaseTimer phases{};
   double total_seconds = 0.0;
 };
@@ -289,7 +290,7 @@ auto assign_streams(int rank, int num_threads, std::uint64_t total_threads,
 /// The returned frame holds the full aggregate at rank 0 and this rank's
 /// local aggregate elsewhere. Collective when `world` is multi-rank.
 template <typename Frame, typename MakeSampler>
-Frame calibrate(comm::Substrate* world, const Frame& prototype,
+Frame calibrate(mpisim::Comm* world, const Frame& prototype,
                 MakeSampler&& make_sampler, std::uint64_t total_budget,
                 const EngineOptions& options) {
   DISTBC_ASSERT(options.threads_per_rank >= 1);
@@ -359,7 +360,7 @@ Frame calibrate(comm::Substrate* world, const Frame& prototype,
 /// Algorithm 2: epoch-based adaptive sampling until the stop rule fires.
 /// Pass world == nullptr for a communicator-free (seq/shm) run.
 template <typename Frame, typename MakeSampler, typename StopFn>
-EngineResult<Frame> run_epochs(comm::Substrate* world, const Frame& prototype,
+EngineResult<Frame> run_epochs(mpisim::Comm* world, const Frame& prototype,
                                MakeSampler&& make_sampler,
                                StopFn&& should_stop,
                                const EngineOptions& options) {
@@ -493,12 +494,12 @@ EngineResult<Frame> run_epochs(comm::Substrate* world, const Frame& prototype,
     // One §IV-F strategy dispatch serving both wire formats: the callers
     // supply the blocking reduction and the non-blocking starter for
     // their payload (elementwise spans or encoded images).
-    auto run_aggregation = [&](comm::Substrate& global, auto&& blocking_reduce,
+    auto run_aggregation = [&](mpisim::Comm& global, auto&& blocking_reduce,
                                auto&& start_reduce) {
       switch (options.aggregation) {
         case Aggregation::kIbarrierReduce: {
           result.phases.timed(Phase::kBarrier, [&] {
-            comm::Request barrier = global.ibarrier();
+            mpisim::Request barrier = global.ibarrier();
             while (!barrier.test()) overlap_sample();
           });
           result.phases.timed(Phase::kReduction, blocking_reduce);
@@ -506,7 +507,7 @@ EngineResult<Frame> run_epochs(comm::Substrate* world, const Frame& prototype,
         }
         case Aggregation::kIreduce: {
           result.phases.timed(Phase::kReduction, [&] {
-            comm::Request reduce = start_reduce();
+            mpisim::Request reduce = start_reduce();
             while (!reduce.test()) overlap_sample();
           });
           break;
@@ -578,13 +579,13 @@ EngineResult<Frame> run_epochs(comm::Substrate* world, const Frame& prototype,
 
         // Broadcast with the strategy-matching overlap behavior - the
         // downward leg of paths that merge toward a root.
-        auto distribute = [&](comm::Substrate& comm, auto span) {
+        auto distribute = [&](mpisim::Comm& comm, auto span) {
           if (options.aggregation == Aggregation::kBlocking) {
             // §IV-F's fully blocking variant: no overlap anywhere, the
             // distribution legs included.
             comm.bcast(span, 0);
           } else {
-            comm::Request bcast = comm.ibcast(span, 0);
+            mpisim::Request bcast = comm.ibcast(span, 0);
             while (!bcast.test()) overlap_sample();
           }
         };
@@ -592,7 +593,7 @@ EngineResult<Frame> run_epochs(comm::Substrate* world, const Frame& prototype,
         // as a length-prefixed wire image; receivers rebuild their
         // epoch_agg from it. Used by the tree path's downward leg and the
         // two-level path's intra-node redistribution.
-        auto distribute_image = [&](comm::Substrate& comm) {
+        auto distribute_image = [&](mpisim::Comm& comm) {
           if constexpr (WireSerializable<Frame>) {
             const bool sender = comm.rank() == 0;
             if (sender) {
@@ -622,7 +623,7 @@ EngineResult<Frame> run_epochs(comm::Substrate* world, const Frame& prototype,
         // down. The classic path all-reduces the flat frame elementwise.
         if (in_global && wire_images) {
           if constexpr (WireSerializable<Frame>) {
-            comm::Substrate& global =
+            mpisim::Comm& global =
                 hierarchy.active() ? hierarchy.global() : *world;
             wire_buffer.clear();
             snapshot.encode(wire_buffer, options.frame_rep);
@@ -674,7 +675,7 @@ EngineResult<Frame> run_epochs(comm::Substrate* world, const Frame& prototype,
           }
         } else if (in_global) {
           if constexpr (DenseReducible<Frame>) {
-            comm::Substrate& global =
+            mpisim::Comm& global =
                 hierarchy.active() ? hierarchy.global() : *world;
             const std::span<const std::uint64_t> send(snapshot.raw());
             run_aggregation(
@@ -733,7 +734,7 @@ EngineResult<Frame> run_epochs(comm::Substrate* world, const Frame& prototype,
     world->reduce(std::span<const std::uint64_t>(&local_taken, 1),
                   std::span{&world_taken, 1}, 0);
     result.samples_attempted = is_root ? world_taken : local_taken;
-    result.comm_volume = world->volume();
+    result.comm_volume = world->stats().volume();
     result.comm_volume += hierarchy.volume();
     result.comm_bytes = result.comm_volume.total();
   } else {

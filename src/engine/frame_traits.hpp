@@ -7,7 +7,7 @@
 //     elementwise MPI reduction (the paper's §III-B/§IV-F wire format).
 //   * WireSerializable - the frame_codec encode()/decode_add() contract:
 //     eligible for the variable-length image path (sparse delta frames,
-//     auto-densifying payloads, the substrate reduce_merge path).
+//     auto-densifying payloads, the communicator's reduce_merge path).
 // StateFrame satisfies both (the frame_rep knob picks); SparseFrame is
 // serializable only (its dense view is read-only, so the elementwise path
 // cannot bypass its touched-set bookkeeping); minimal test frames are

@@ -468,7 +468,7 @@ class Comm {
                               erase_gather<T>(recv, root), root);
   }
 
-  // --- Point-to-point (used by tests and the window substrate) -----------
+  // --- Point-to-point (used by tests) -------------------------------------
 
   template <typename T>
   void send(std::span<const T> data, int dst, int tag) {
@@ -589,11 +589,7 @@ class Comm {
     };
   }
 
- public:
-  // Byte-level data plane. The typed templates above funnel into these;
-  // they are also the forwarding surface comm::Substrate implementations
-  // ride, so a substrate backend reuses the slot protocol (and with it
-  // the deterministic rank-order merge replay) without re-erasing types.
+  // Byte-level data plane the typed templates above funnel into.
   void mergev_bytes_impl(detail::SlotKind kind, const std::byte* send,
                          std::size_t bytes, detail::MergeBytesFn merge,
                          int root);
@@ -635,7 +631,6 @@ class Comm {
                        int tag);
   void recv_bytes_impl(std::byte* data, std::size_t bytes, int src, int tag);
 
- private:
   std::shared_ptr<detail::CommState> state_;
   int rank_ = -1;
   std::uint64_t ticket_ = 0;

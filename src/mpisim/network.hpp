@@ -13,6 +13,8 @@
 
 #include <chrono>
 #include <cstdint>
+#include <optional>
+#include <string_view>
 
 namespace distbc::mpisim {
 
@@ -40,7 +42,7 @@ struct NetworkModel {
   // ones run it inside polls, overlapped with the caller's sampling.
   double combine_bandwidth_bps = 2e9;
   // Fixed per-collective startup charge, independent of payload and hop
-  // count. Zero for a CPU MPI stack; an NCCL-style substrate pays a
+  // count. Zero for a CPU MPI stack; the NCCL-style preset pays a
   // kernel-launch latency before any data moves.
   double launch_latency_s = 0.0;
   // Price all-reduces as a flat ring instead of butterfly halving +
@@ -95,5 +97,24 @@ struct NetworkModel {
   /// A zero-cost model for semantic tests.
   static NetworkModel disabled();
 };
+
+/// The selectable network presets (api::Config key `comm_substrate`, env
+/// `DISTBC_COMM_SUBSTRATE`, profile key `comm.substrate`). Every preset
+/// runs on the same Comm, so deterministic scores and byte counters are
+/// bitwise identical across them; only the cost model differs.
+enum class SubstrateKind : std::uint8_t { kMpisim, kNcclsim };
+
+[[nodiscard]] const char* substrate_name(SubstrateKind kind);
+[[nodiscard]] std::optional<SubstrateKind> substrate_from_name(
+    std::string_view name);
+
+/// The interconnect model a substrate kind runs on, derived from `base`:
+/// kMpisim returns base unchanged; kNcclsim swaps in NVLink-like local and
+/// IB-like remote link parameters, ring all-reduce pricing, a per-
+/// collective kernel-launch latency, and an ideal progress engine (no
+/// Ireduce progression penalty, free polls), while keeping base's master
+/// switch and dedicated-core economics.
+[[nodiscard]] NetworkModel network_model_for(SubstrateKind kind,
+                                             const NetworkModel& base);
 
 }  // namespace distbc::mpisim

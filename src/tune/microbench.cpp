@@ -6,7 +6,6 @@
 #include <thread>
 #include <vector>
 
-#include "comm/substrate.hpp"
 #include "engine/engine.hpp"
 #include "epoch/sparse_frame.hpp"
 #include "mpisim/runtime.hpp"
@@ -199,10 +198,10 @@ MicrobenchResult run_microbench(const MicrobenchConfig& config) {
   MicrobenchResult result;
   result.config = config;
   result.oversubscription = oversubscription_factor(config);
-  // The arms race under the backend's effective link economics (identity
+  // The arms race under the preset's effective link economics (identity
   // for mpisim); the baseline control stays on the disabled model.
-  const comm::NetworkModel arm_network =
-      comm::network_model_for(config.substrate, config.network);
+  const mpisim::NetworkModel arm_network =
+      mpisim::network_model_for(config.substrate, config.network);
 
   const int threads = std::max(1, config.threads_per_rank);
   const auto total_threads =
@@ -253,14 +252,13 @@ MicrobenchResult run_microbench(const MicrobenchConfig& config) {
     mpisim::Runtime runtime(runtime_config);
 
     Measurement measurement;
-    runtime.run([&](auto& rank_comm) {
-      const auto world = comm::make_substrate(config.substrate, rank_comm);
+    runtime.run([&](mpisim::Comm& world) {
       const auto record = [&](const auto& engine_result) {
-        if (world->rank() != 0) return;
+        if (world.rank() != 0) return;
         measurement.wall_s = engine_result.total_seconds;
         measurement.epochs = engine_result.epochs;
         measurement.attempted = engine_result.samples_attempted;
-        measurement.modeled_s = world->modeled_collective_seconds(
+        measurement.modeled_s = world.modeled_collective_seconds(
             words * sizeof(std::uint64_t));
       };
       if (sparse) {
@@ -270,7 +268,7 @@ MicrobenchResult run_microbench(const MicrobenchConfig& config) {
             1, n0_total / static_cast<std::uint64_t>(config.num_ranks));
         const auto spread = std::max<std::uint64_t>(1, words / (2 * per_rank));
         record(engine::run_epochs(
-            world.get(), epoch::SparseFrame(static_cast<std::uint32_t>(words)),
+            &world, epoch::SparseFrame(static_cast<std::uint32_t>(words)),
             [&](std::uint64_t stream) {
               return SparseUnitSampler(stream, config.work_unit_s,
                                        config.imbalance, spread, words);
@@ -281,7 +279,7 @@ MicrobenchResult run_microbench(const MicrobenchConfig& config) {
             engine_options));
       } else {
         record(engine::run_epochs(
-            world.get(), UnitFrame(words),
+            &world, UnitFrame(words),
             [&](std::uint64_t stream) {
               return UnitSampler(stream, config.work_unit_s,
                                  config.imbalance);
@@ -405,34 +403,33 @@ MicrobenchResult run_microbench(const MicrobenchConfig& config) {
     sample.message_words = 1;
     const int rounds = config.warmup_rounds + config.measure_rounds;
     double overhead = 0.0;
-    runtime.run([&](auto& rank_comm) {
-      const auto world = comm::make_substrate(config.substrate, rank_comm);
+    runtime.run([&](mpisim::Comm& world) {
       std::uint64_t units = 0;
-      world->barrier();
+      world.barrier();
       WallTimer timer;
       for (int round = 0; round < rounds; ++round) {
         if (round == config.warmup_rounds) {
-          world->barrier();  // cold-start rounds are excluded from the timing
+          world.barrier();  // cold-start rounds are excluded from the timing
           timer.restart();
           units = 0;
         }
         std::uint8_t flag = 0;
-        comm::Request bcast = world->ibcast(std::span{&flag, 1}, 0);
+        mpisim::Request bcast = world.ibcast(std::span{&flag, 1}, 0);
         while (!bcast.test()) {
           spin_for(config.work_unit_s);
           ++units;
         }
       }
-      world->barrier();
+      world.barrier();
       const double wall = timer.elapsed_s();
       std::uint64_t total_units = 0;
-      world->reduce(std::span<const std::uint64_t>(&units, 1),
+      world.reduce(std::span<const std::uint64_t>(&units, 1),
                     std::span{&total_units, 1}, 0);
-      if (world->rank() == 0 && unit_throughput > 0.0) {
+      if (world.rank() == 0 && unit_throughput > 0.0) {
         const double paid_s =
             static_cast<double>(total_units) / unit_throughput;
         overhead = std::max(0.0, (wall - paid_s) / config.measure_rounds);
-        sample.modeled_s = world->modeled_collective_seconds(1);
+        sample.modeled_s = world.modeled_collective_seconds(1);
       }
     });
     sample.overhead_s = overhead;

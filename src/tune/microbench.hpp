@@ -33,7 +33,7 @@
 #include <string_view>
 #include <vector>
 
-#include "comm/substrate.hpp"
+#include "mpisim/network.hpp"
 
 namespace distbc::tune {
 
@@ -111,15 +111,15 @@ struct MicrobenchConfig {
   /// samples feed the fitted line) and recorded in the result. Values
   /// below 2 are ignored.
   std::vector<int> tree_radixes = {2, 4};
-  /// Base link economics; the substrate profile layers on top (the same
+  /// Base link economics; the network preset layers on top (the same
   /// composition api::Session applies), so the arms race under the
-  /// backend's actual latency/bandwidth/launch charges.
-  comm::NetworkModel network{};
-  /// The comm backend the arms run on. Pattern rankings shift with the
-  /// substrate (ncclsim's device-side progress erases the §IV-F Ireduce
+  /// preset's actual latency/bandwidth/launch charges.
+  mpisim::NetworkModel network{};
+  /// The network preset the arms run on. Pattern rankings shift with the
+  /// preset (ncclsim's device-side progress erases the §IV-F Ireduce
   /// penalty; its launch latency taxes chatty patterns), so profiles are
-  /// captured per substrate.
-  comm::SubstrateKind substrate = comm::SubstrateKind::kMpisim;
+  /// captured per preset.
+  mpisim::SubstrateKind substrate = mpisim::SubstrateKind::kMpisim;
 };
 
 struct MicrobenchResult {

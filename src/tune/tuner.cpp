@@ -56,7 +56,7 @@ std::string TuningProfile::serialize() const {
   append_kv(out, "tree_radix", tree_radix);
   append_kv(out, "leader_radix", leader_radix);
   append_kv(out, "comm.substrate",
-            std::string_view(comm::substrate_name(substrate)));
+            std::string_view(mpisim::substrate_name(substrate)));
   for (std::size_t p = 0; p < kNumPatterns; ++p) {
     const auto pattern = static_cast<Pattern>(p);
     if (!model.has(pattern)) continue;
@@ -143,7 +143,7 @@ std::optional<TuningProfile> TuningProfile::parse(std::string_view text) {
   profile.leader_radix = static_cast<int>(get("leader_radix").value_or(0.0));
   // String-valued known key (absent in pre-substrate profiles = mpisim).
   if (const auto name = consume_str("comm.substrate")) {
-    const auto kind = comm::substrate_from_name(*name);
+    const auto kind = mpisim::substrate_from_name(*name);
     if (!kind.has_value()) return std::nullopt;
     profile.substrate = *kind;
   }
@@ -200,10 +200,10 @@ TuningProfile capture_profile(const MicrobenchConfig& config) {
 
 std::vector<TuningProfile> capture_profiles(
     const MicrobenchConfig& config,
-    std::span<const comm::SubstrateKind> substrates) {
+    std::span<const mpisim::SubstrateKind> substrates) {
   std::vector<TuningProfile> profiles;
   profiles.reserve(substrates.size());
-  for (const comm::SubstrateKind kind : substrates) {
+  for (const mpisim::SubstrateKind kind : substrates) {
     MicrobenchConfig per_substrate = config;
     per_substrate.substrate = kind;
     profiles.push_back(capture_profile(per_substrate));

@@ -36,8 +36,8 @@
 #include <utility>
 #include <vector>
 
-#include "comm/substrate.hpp"
 #include "engine/engine.hpp"
+#include "mpisim/network.hpp"
 #include "support/timer.hpp"
 #include "tune/cost_model.hpp"
 
@@ -63,9 +63,9 @@ struct TuningProfile {
   int tree_radix = 0;
   /// Winning radix of the kTwoLevel leader-tree sweep (same contract).
   int leader_radix = 0;
-  /// The comm substrate the microbench arms ran on: a profile prices one
-  /// backend's link economics and is only valid for sessions on it.
-  comm::SubstrateKind substrate = comm::SubstrateKind::kMpisim;
+  /// The network preset the microbench arms ran on: a profile prices one
+  /// preset's link economics and is only valid for sessions on it.
+  mpisim::SubstrateKind substrate = mpisim::SubstrateKind::kMpisim;
   CostModel model;
   /// Keys this parser did not recognize, preserved verbatim (in input
   /// order) and re-emitted by serialize() - a profile written by a newer
@@ -88,14 +88,13 @@ struct TuningProfile {
 /// the one-call capture path. The profile records config.substrate.
 [[nodiscard]] TuningProfile capture_profile(const MicrobenchConfig& config);
 
-/// Captures one profile per substrate on the same cluster shape: the full
-/// CommBench arm sweep re-runs under each backend's link economics
+/// Captures one profile per preset on the same cluster shape: the full
+/// CommBench arm sweep re-runs under each preset's link economics
 /// (config.substrate is overridden per capture). Pattern rankings shift
-/// across backends, so a multi-substrate deployment needs one profile
-/// each.
+/// across presets, so a multi-preset deployment needs one profile each.
 [[nodiscard]] std::vector<TuningProfile> capture_profiles(
     const MicrobenchConfig& config,
-    std::span<const comm::SubstrateKind> substrates);
+    std::span<const mpisim::SubstrateKind> substrates);
 
 struct TuneRequest {
   /// Flat uint64 words of the workload's epoch frame (the aggregation

@@ -6,7 +6,6 @@
 
 #include "engine/engine.hpp"
 #include "adaptive/mean_distance.hpp"
-#include "comm/substrate.hpp"
 #include "mpisim/runtime.hpp"
 #include "gen/erdos_renyi.hpp"
 #include "gen/road.hpp"
@@ -85,18 +84,16 @@ TEST(GenericDriver, AggregatesDeterministicCounts) {
   config.num_ranks = 3;
   config.network = mpisim::NetworkModel::disabled();
   mpisim::Runtime runtime(config);
-  runtime.run([&](auto& rank_comm) {
-    const auto world =
-        comm::make_substrate(comm::SubstrateKind::kMpisim, rank_comm);
+  runtime.run([&](mpisim::Comm& world) {
     engine::EngineOptions options;
     options.threads_per_rank = 2;
     options.epoch_base = 10;
     options.epoch_exponent = 0.0;
     auto result = engine::run_epochs(
-        world.get(), MomentFrame{}, [](std::uint64_t) { return OneSampler{}; },
+        &world, MomentFrame{}, [](std::uint64_t) { return OneSampler{}; },
         [](const MomentFrame& frame) { return frame.count() >= 500; },
         options);
-    if (world->rank() == 0) {
+    if (world.rank() == 0) {
       EXPECT_GE(result.aggregate.count(), 500u);
       EXPECT_DOUBLE_EQ(result.aggregate.mean(), 1.0);
       // With a trivially fast sampler the free-running worker threads can
@@ -118,15 +115,13 @@ TEST(GenericDriver, MaxEpochsStopsDivergentRules) {
   config.num_ranks = 2;
   config.network = mpisim::NetworkModel::disabled();
   mpisim::Runtime runtime(config);
-  runtime.run([&](auto& rank_comm) {
-    const auto world =
-        comm::make_substrate(comm::SubstrateKind::kMpisim, rank_comm);
+  runtime.run([&](mpisim::Comm& world) {
     engine::EngineOptions options;
     options.epoch_base = 5;
     options.epoch_exponent = 0.0;
     options.max_epochs = 7;
     auto result = engine::run_epochs(
-        world.get(), MomentFrame{}, [](std::uint64_t) { return OneSampler{}; },
+        &world, MomentFrame{}, [](std::uint64_t) { return OneSampler{}; },
         [](const MomentFrame&) { return false; },  // never satisfied
         options);
     EXPECT_EQ(result.epochs, 7u);

@@ -15,7 +15,6 @@
 #include "api/session.hpp"
 #include "bc/brandes.hpp"
 #include "bc/kadabra.hpp"
-#include "comm/substrate.hpp"
 #include "gen/erdos_renyi.hpp"
 #include "graph/builder.hpp"
 #include "graph/components.hpp"
@@ -73,11 +72,9 @@ TEST(SessionIdentity, BetweennessMatchesDirectDriverAcrossRepsAndRadixes) {
       runtime_config.network = mpisim::NetworkModel::disabled();
       mpisim::Runtime runtime(runtime_config);
       bc::BcResult direct;
-      runtime.run([&](auto& rank_comm) {
-        const auto world =
-            comm::make_substrate(comm::SubstrateKind::kMpisim, rank_comm);
-        bc::BcResult local = bc::kadabra_mpi_rank(graph, options, *world);
-        if (world->rank() == 0) direct = std::move(local);
+      runtime.run([&](mpisim::Comm& world) {
+        bc::BcResult local = bc::kadabra_mpi_rank(graph, options, world);
+        if (world.rank() == 0) direct = std::move(local);
       });
 
       // Facade arm.
@@ -113,12 +110,10 @@ TEST(SessionIdentity, ClosenessMatchesDirectDriver) {
     runtime_config.network = mpisim::NetworkModel::disabled();
     mpisim::Runtime runtime(runtime_config);
     adaptive::ClosenessResult direct;
-    runtime.run([&](auto& rank_comm) {
-      const auto world =
-          comm::make_substrate(comm::SubstrateKind::kMpisim, rank_comm);
+    runtime.run([&](mpisim::Comm& world) {
       adaptive::ClosenessResult local =
-          adaptive::closeness_rank(graph, params, *world);
-      if (world->rank() == 0) direct = std::move(local);
+          adaptive::closeness_rank(graph, params, world);
+      if (world.rank() == 0) direct = std::move(local);
     });
 
     api::Session session(graph, config);
@@ -150,12 +145,10 @@ TEST(SessionIdentity, MeanDistanceMatchesDirectDriver) {
   runtime_config.network = mpisim::NetworkModel::disabled();
   mpisim::Runtime runtime(runtime_config);
   adaptive::MeanDistanceResult direct;
-  runtime.run([&](auto& rank_comm) {
-    const auto world =
-        comm::make_substrate(comm::SubstrateKind::kMpisim, rank_comm);
+  runtime.run([&](mpisim::Comm& world) {
     adaptive::MeanDistanceResult local =
-        adaptive::mean_distance_rank(graph, params, *world);
-    if (world->rank() == 0) direct = local;
+        adaptive::mean_distance_rank(graph, params, world);
+    if (world.rank() == 0) direct = local;
   });
 
   api::Session session(graph, config);

@@ -10,7 +10,6 @@
 
 #include "adaptive/mean_distance.hpp"
 #include "bc/kadabra.hpp"
-#include "comm/substrate.hpp"
 #include "engine/engine.hpp"
 #include "engine/streams.hpp"
 #include "mpisim/runtime.hpp"
@@ -62,15 +61,13 @@ TEST(EngineCalibrate, DistributesBudgetExactlyAcrossRanks) {
   config.num_ranks = 3;
   config.network = mpisim::NetworkModel::disabled();
   mpisim::Runtime runtime(config);
-  runtime.run([&](auto& rank_comm) {
-    const auto world =
-        comm::make_substrate(comm::SubstrateKind::kMpisim, rank_comm);
+  runtime.run([&](mpisim::Comm& world) {
     engine::EngineOptions options;
     options.threads_per_rank = 2;
     const CountFrame frame = engine::calibrate(
-        world.get(), CountFrame{}, [](std::uint64_t) { return CountSampler{}; },
+        &world, CountFrame{}, [](std::uint64_t) { return CountSampler{}; },
         /*total_budget=*/1001, options);
-    if (world->rank() == 0) {
+    if (world.rank() == 0) {
       EXPECT_EQ(frame.data[0], 1001u);
     }
   });
@@ -342,9 +339,7 @@ TEST(EngineEquivalence, EveryRankHoldsTheGlobalAggregate) {
   config.network = mpisim::NetworkModel::disabled();
   mpisim::Runtime runtime(config);
   std::vector<std::uint64_t> per_rank(4, 0);
-  runtime.run([&](auto& rank_comm) {
-    const auto world =
-        comm::make_substrate(comm::SubstrateKind::kMpisim, rank_comm);
+  runtime.run([&](mpisim::Comm& world) {
     engine::EngineOptions options;
     options.deterministic = true;
     options.virtual_streams = 4;
@@ -352,10 +347,10 @@ TEST(EngineEquivalence, EveryRankHoldsTheGlobalAggregate) {
     options.epoch_exponent = 0.0;
     options.hierarchical = true;
     const auto result = engine::run_epochs(
-        world.get(), CountFrame{}, [](std::uint64_t) { return CountSampler{}; },
+        &world, CountFrame{}, [](std::uint64_t) { return CountSampler{}; },
         [](const CountFrame& frame) { return frame.data[0] >= 100; },
         options);
-    per_rank[world->rank()] = result.aggregate.data[0];
+    per_rank[world.rank()] = result.aggregate.data[0];
   });
   EXPECT_GE(per_rank[0], 100u);
   for (int r = 1; r < 4; ++r) EXPECT_EQ(per_rank[r], per_rank[0]) << r;

@@ -1,8 +1,8 @@
 // Edge-case tests for engine/hierarchy.hpp (§IV-E node-local RMA
 // pre-reduction): rank counts not divisible by the node size, single-node
 // clusters, and the hierarchy combined with every §IV-F aggregation
-// strategy - checked both directly on the window substrate and end-to-end
-// through deterministic KADABRA runs.
+// strategy - checked both directly on the node window (dense spans and
+// sparse delta images) and end-to-end through deterministic KADABRA runs.
 #include <gtest/gtest.h>
 
 #include <cstdint>
@@ -10,8 +10,8 @@
 #include <vector>
 
 #include "bc/kadabra.hpp"
-#include "comm/substrate.hpp"
 #include "engine/hierarchy.hpp"
+#include "epoch/sparse_frame.hpp"
 #include "gen/erdos_renyi.hpp"
 #include "graph/components.hpp"
 #include "mpisim/runtime.hpp"
@@ -19,7 +19,7 @@
 namespace distbc {
 namespace {
 
-/// Runs the §IV-E substrate directly: every rank pre-reduces a frame of
+/// Runs the §IV-E pre-reduction directly: every rank pre-reduces a frame of
 /// (rank + 1) values; node leaders then reduce over the leader
 /// communicator. Returns the world total seen at world rank 0.
 std::vector<std::uint64_t> hierarchical_total(int num_ranks,
@@ -33,15 +33,13 @@ std::vector<std::uint64_t> hierarchical_total(int num_ranks,
 
   std::vector<std::uint64_t> root_total;
   std::mutex mu;
-  runtime.run([&](auto& rank_comm) {
-    const auto world =
-        comm::make_substrate(comm::SubstrateKind::kMpisim, rank_comm);
+  runtime.run([&](mpisim::Comm& world) {
     engine::Hierarchy hierarchy;
-    hierarchy.init(*world, frame_words);
+    hierarchy.init(world, frame_words);
     ASSERT_TRUE(hierarchy.active());
 
     std::vector<std::uint64_t> frame(
-        frame_words, static_cast<std::uint64_t>(world->rank()) + 1);
+        frame_words, static_cast<std::uint64_t>(world.rank()) + 1);
     const bool leader = hierarchy.pre_reduce(frame);
     // Exactly the leaders join the global reduction; its rank zero is
     // world rank zero.
@@ -49,12 +47,12 @@ std::vector<std::uint64_t> hierarchical_total(int num_ranks,
       std::vector<std::uint64_t> total(frame_words, 0);
       hierarchy.global().reduce(std::span<const std::uint64_t>(frame),
                                 std::span<std::uint64_t>(total), 0);
-      if (world->rank() == 0) {
+      if (world.rank() == 0) {
         std::lock_guard lock(mu);
         root_total = std::move(total);
       }
     } else {
-      EXPECT_FALSE(world->rank() == 0) << "world rank 0 must be a leader";
+      EXPECT_FALSE(world.rank() == 0) << "world rank 0 must be a leader";
     }
   });
   return root_total;
@@ -83,6 +81,41 @@ TEST(Hierarchy, SingleRankPerNodeDegeneratesToFlat) {
   const auto total = hierarchical_total(3, 1, 2);
   ASSERT_EQ(total.size(), 2u);
   for (const std::uint64_t value : total) EXPECT_EQ(value, 6u);
+}
+
+TEST(Hierarchy, SparseImagesPreReduceThroughTouchedWindowSlots) {
+  // 4 ranks, 2 per node. Each round every rank records one sample through
+  // a single vertex; under kSparse the snapshots enter the window as
+  // (index, delta) pairs and the leader reads back only touched slots.
+  // Round 1 uses fresh vertices, so a leader aggregate holding any round-0
+  // vertex would mean clear_touched() left stale slots behind.
+  constexpr std::uint32_t kVertices = 8;
+  mpisim::RuntimeConfig config;
+  config.num_ranks = 4;
+  config.ranks_per_node = 2;
+  config.network = mpisim::NetworkModel::disabled();
+  mpisim::Runtime runtime(config);
+  runtime.run([&](mpisim::Comm& world) {
+    engine::Hierarchy hierarchy;
+    epoch::SparseFrame frame(kVertices);
+    hierarchy.init(world, frame.dense_words());
+    const auto rank = static_cast<std::uint32_t>(world.rank());
+    for (std::uint32_t round = 0; round < 2; ++round) {
+      frame.clear();
+      const std::uint32_t vertex = rank + 4 * round;
+      frame.record(std::span<const std::uint32_t>(&vertex, 1));
+      if (!hierarchy.pre_reduce(frame, epoch::FrameRep::kSparse)) continue;
+      // The leader (even world rank) now holds its node's two samples.
+      EXPECT_EQ(frame.tau(), 2u) << "round " << round;
+      EXPECT_EQ(frame.nonzero_count(), 2u) << "round " << round;
+      EXPECT_EQ(frame.count(vertex), 1u) << "round " << round;
+      EXPECT_EQ(frame.count(vertex + 1), 1u) << "round " << round;
+    }
+    // Window traffic moved pairs, not dense frames: per rank and round one
+    // vertex pair plus the tau pair, i.e. 4 words.
+    EXPECT_EQ(hierarchy.volume().p2p_bytes,
+              2u * 2u * 4u * sizeof(std::uint64_t));
+  });
 }
 
 // --- End-to-end: hierarchy x aggregation strategies ------------------------

@@ -1,11 +1,12 @@
-// The pluggable comm-substrate API (comm/substrate.hpp) and its threading
-// through api::Session: substrate selection changes the modeled link
-// economics - never the traffic and never the scores. Deterministic-mode
-// results must be bitwise identical across mpisim x ncclsim under every
-// aggregation topology and frame representation; the ncclsim all-reduce
-// must price the NCCL ring closed form; Results report the substrate that
-// ran them; and tuning profiles round-trip the substrate tag plus any
-// keys a newer library wrote.
+// The network presets (mpisim/network.hpp: comm_substrate = mpisim |
+// ncclsim) and their threading through api::Session: the preset changes
+// the modeled link economics of the one communicator - never the traffic
+// and never the scores. Deterministic-mode results must be bitwise
+// identical across mpisim x ncclsim under every aggregation topology and
+// frame representation; the ncclsim all-reduce must price the NCCL ring
+// closed form; Results report the preset that ran them; and tuning
+// profiles round-trip the preset tag plus any keys a newer library
+// wrote.
 #include <gtest/gtest.h>
 
 #include <cmath>
@@ -15,9 +16,9 @@
 #include <vector>
 
 #include "api/session.hpp"
-#include "comm/substrate.hpp"
 #include "gen/barabasi_albert.hpp"
 #include "graph/components.hpp"
+#include "mpisim/network.hpp"
 #include "tune/tuner.hpp"
 
 namespace distbc {
@@ -26,32 +27,34 @@ namespace {
 // --- Substrate naming -------------------------------------------------------
 
 TEST(SubstrateNames, RoundTripAndRejection) {
-  EXPECT_STREQ(comm::substrate_name(comm::SubstrateKind::kMpisim), "mpisim");
-  EXPECT_STREQ(comm::substrate_name(comm::SubstrateKind::kNcclsim),
+  EXPECT_STREQ(mpisim::substrate_name(mpisim::SubstrateKind::kMpisim),
+               "mpisim");
+  EXPECT_STREQ(mpisim::substrate_name(mpisim::SubstrateKind::kNcclsim),
                "ncclsim");
   for (const auto kind :
-       {comm::SubstrateKind::kMpisim, comm::SubstrateKind::kNcclsim}) {
-    const auto parsed = comm::substrate_from_name(comm::substrate_name(kind));
+       {mpisim::SubstrateKind::kMpisim, mpisim::SubstrateKind::kNcclsim}) {
+    const auto parsed =
+        mpisim::substrate_from_name(mpisim::substrate_name(kind));
     ASSERT_TRUE(parsed.has_value());
     EXPECT_EQ(*parsed, kind);
   }
-  EXPECT_FALSE(comm::substrate_from_name("nccl").has_value());
-  EXPECT_FALSE(comm::substrate_from_name("").has_value());
-  EXPECT_FALSE(comm::substrate_from_name("MPISIM").has_value());
+  EXPECT_FALSE(mpisim::substrate_from_name("nccl").has_value());
+  EXPECT_FALSE(mpisim::substrate_from_name("").has_value());
+  EXPECT_FALSE(mpisim::substrate_from_name("MPISIM").has_value());
 }
 
 // --- The modeled NCCL economics ---------------------------------------------
 
 TEST(NcclSimModel, ProfileLayersOnTopOfTheBase) {
-  comm::NetworkModel base;
+  mpisim::NetworkModel base;
   base.dedicated_cores = true;
-  const comm::NetworkModel same =
-      comm::network_model_for(comm::SubstrateKind::kMpisim, base);
+  const mpisim::NetworkModel same =
+      mpisim::network_model_for(mpisim::SubstrateKind::kMpisim, base);
   EXPECT_EQ(same.remote_latency_s, base.remote_latency_s);
   EXPECT_FALSE(same.ring_allreduce);
 
-  const comm::NetworkModel nccl =
-      comm::network_model_for(comm::SubstrateKind::kNcclsim, base);
+  const mpisim::NetworkModel nccl =
+      mpisim::network_model_for(mpisim::SubstrateKind::kNcclsim, base);
   EXPECT_TRUE(nccl.ring_allreduce);
   EXPECT_GT(nccl.launch_latency_s, 0.0);
   EXPECT_EQ(nccl.ireduce_progression_factor, 1.0);
@@ -60,17 +63,17 @@ TEST(NcclSimModel, ProfileLayersOnTopOfTheBase) {
   EXPECT_TRUE(nccl.dedicated_cores);
   EXPECT_TRUE(nccl.enabled);
 
-  comm::NetworkModel off = base;
+  mpisim::NetworkModel off = base;
   off.enabled = false;
-  const comm::NetworkModel nccl_off =
-      comm::network_model_for(comm::SubstrateKind::kNcclsim, off);
+  const mpisim::NetworkModel nccl_off =
+      mpisim::network_model_for(mpisim::SubstrateKind::kNcclsim, off);
   EXPECT_FALSE(nccl_off.enabled);
   EXPECT_EQ(nccl_off.allreduce_cost(1 << 20, 4, 2).count(), 0);
 }
 
 TEST(NcclSimModel, AllreduceMatchesTheRingClosedForm) {
-  const comm::NetworkModel nccl =
-      comm::network_model_for(comm::SubstrateKind::kNcclsim, {});
+  const mpisim::NetworkModel nccl =
+      mpisim::network_model_for(mpisim::SubstrateKind::kNcclsim, {});
   struct Shape {
     int ranks_per_node;
     int num_nodes;
@@ -114,7 +117,7 @@ std::shared_ptr<const graph::Graph> parity_graph() {
   return graph;
 }
 
-api::Config parity_config(comm::SubstrateKind substrate,
+api::Config parity_config(mpisim::SubstrateKind substrate,
                           engine::FrameRep rep, bool hierarchical,
                           int tree_radix, int leader_radix) {
   api::Config config;
@@ -160,7 +163,7 @@ TEST(SubstrateParity, BitwiseScoresAcrossSubstratesTopologiesAndReps) {
                                    engine::FrameRep::kAuto};
 
   const api::Result reference =
-      parity_run(parity_config(comm::SubstrateKind::kMpisim,
+      parity_run(parity_config(mpisim::SubstrateKind::kMpisim,
                                engine::FrameRep::kDense, false, 0, 0));
   ASSERT_GT(reference.samples, 0u);
 
@@ -171,20 +174,20 @@ TEST(SubstrateParity, BitwiseScoresAcrossSubstratesTopologiesAndReps) {
       // clock, never the bytes.
       std::uint64_t mpisim_total = 0;
       for (const auto substrate :
-           {comm::SubstrateKind::kMpisim, comm::SubstrateKind::kNcclsim}) {
+           {mpisim::SubstrateKind::kMpisim, mpisim::SubstrateKind::kNcclsim}) {
         const api::Result result = parity_run(
             parity_config(substrate, rep, topology.hierarchical,
                           topology.tree_radix, topology.leader_radix));
         const std::string label = std::string(topology.name) + "/" +
                                   epoch::frame_rep_name(rep) + "/" +
-                                  comm::substrate_name(substrate);
+                                  mpisim::substrate_name(substrate);
         EXPECT_EQ(result.samples, reference.samples) << label;
         EXPECT_EQ(result.epochs, reference.epochs) << label;
         ASSERT_EQ(result.scores.size(), reference.scores.size()) << label;
         for (std::size_t v = 0; v < result.scores.size(); ++v)
           ASSERT_EQ(result.scores[v], reference.scores[v])
               << label << " vertex " << v;
-        if (substrate == comm::SubstrateKind::kMpisim)
+        if (substrate == mpisim::SubstrateKind::kMpisim)
           mpisim_total = result.comm_volume.total();
         else
           EXPECT_EQ(result.comm_volume.total(), mpisim_total) << label;
@@ -196,17 +199,34 @@ TEST(SubstrateParity, BitwiseScoresAcrossSubstratesTopologiesAndReps) {
 // --- Result attribution -----------------------------------------------------
 
 TEST(SubstrateUsed, ResultsReportTheBackendThatRanThem) {
-  const api::Result mpisim_result =
-      parity_run(parity_config(comm::SubstrateKind::kMpisim,
-                               engine::FrameRep::kDense, false, 0, 0));
-  EXPECT_EQ(mpisim_result.substrate_used, "mpisim");
-  EXPECT_STREQ(mpisim_result.comm_volume.substrate, "mpisim");
+  // Every query kind that runs on the session's communicator reports the
+  // configured preset: betweenness, closeness and mean distance alike.
+  for (const auto substrate :
+       {mpisim::SubstrateKind::kMpisim, mpisim::SubstrateKind::kNcclsim}) {
+    const std::string name = mpisim::substrate_name(substrate);
+    api::Session session(parity_graph(),
+                         parity_config(substrate, engine::FrameRep::kSparse,
+                                       false, 2, 0));
 
-  const api::Result nccl_result =
-      parity_run(parity_config(comm::SubstrateKind::kNcclsim,
-                               engine::FrameRep::kSparse, false, 2, 0));
-  EXPECT_EQ(nccl_result.substrate_used, "ncclsim");
-  EXPECT_STREQ(nccl_result.comm_volume.substrate, "ncclsim");
+    api::BetweennessQuery betweenness;
+    betweenness.epsilon = 0.15;
+    const api::Result bc_result = session.run(betweenness);
+    ASSERT_TRUE(bc_result.status.ok) << bc_result.status.message;
+    EXPECT_EQ(bc_result.substrate_used, name);
+
+    api::ClosenessRankQuery closeness;
+    closeness.epsilon = 0.2;
+    const api::Result closeness_result = session.run(closeness);
+    ASSERT_TRUE(closeness_result.status.ok)
+        << closeness_result.status.message;
+    EXPECT_EQ(closeness_result.substrate_used, name);
+
+    api::MeanDistanceQuery mean_distance;
+    mean_distance.epsilon = 0.2;
+    const api::Result mean_result = session.run(mean_distance);
+    ASSERT_TRUE(mean_result.status.ok) << mean_result.status.message;
+    EXPECT_EQ(mean_result.substrate_used, name);
+  }
 }
 
 TEST(SubstrateUsed, CommunicatorFreeRunsLeaveItEmpty) {
@@ -222,43 +242,29 @@ TEST(SubstrateUsed, CommunicatorFreeRunsLeaveItEmpty) {
   EXPECT_TRUE(result.substrate_used.empty());
 }
 
-TEST(CommVolumeTag, FirstNonEmptySubstrateWinsOnMerge) {
-  comm::CommVolume sum;
-  EXPECT_STREQ(sum.substrate, "");
-  comm::CommVolume tagged;
-  tagged.substrate = comm::substrate_name(comm::SubstrateKind::kNcclsim);
-  tagged.reduce_bytes = 8;
-  sum += tagged;
-  EXPECT_STREQ(sum.substrate, "ncclsim");
-  comm::CommVolume other;
-  other.substrate = comm::substrate_name(comm::SubstrateKind::kMpisim);
-  sum += other;  // already attributed: the first tag sticks
-  EXPECT_STREQ(sum.substrate, "ncclsim");
-}
-
 // --- Config key and profile round-trips -------------------------------------
 
 TEST(SubstrateConfig, KeyParsesAndSerializes) {
   api::Config config;
   ASSERT_TRUE(config.set("comm_substrate", "ncclsim").ok);
-  EXPECT_EQ(config.comm_substrate, comm::SubstrateKind::kNcclsim);
+  EXPECT_EQ(config.comm_substrate, mpisim::SubstrateKind::kNcclsim);
   EXPECT_NE(config.serialize().find("comm_substrate = ncclsim"),
             std::string::npos);
   const auto status = config.set("comm_substrate", "infiniband");
   EXPECT_FALSE(status.ok);
-  EXPECT_EQ(config.comm_substrate, comm::SubstrateKind::kNcclsim)
+  EXPECT_EQ(config.comm_substrate, mpisim::SubstrateKind::kNcclsim)
       << "rejected values must not clobber the config";
 }
 
 TEST(TuningProfile, SubstrateTagRoundTrips) {
   tune::TuningProfile profile;
   profile.shape = {4, 2, 1};
-  profile.substrate = comm::SubstrateKind::kNcclsim;
+  profile.substrate = mpisim::SubstrateKind::kNcclsim;
   const std::string text = profile.serialize();
   EXPECT_NE(text.find("comm.substrate = ncclsim"), std::string::npos);
   const auto reparsed = tune::TuningProfile::parse(text);
   ASSERT_TRUE(reparsed.has_value());
-  EXPECT_EQ(reparsed->substrate, comm::SubstrateKind::kNcclsim);
+  EXPECT_EQ(reparsed->substrate, mpisim::SubstrateKind::kNcclsim);
   EXPECT_EQ(reparsed->shape, profile.shape);
 
   // A profile written before the substrate tag existed reads as mpisim.
@@ -269,7 +275,7 @@ TEST(TuningProfile, SubstrateTagRoundTrips) {
   legacy_text.erase(pos, legacy_text.find('\n', pos) - pos + 1);
   const auto parsed = tune::TuningProfile::parse(legacy_text);
   ASSERT_TRUE(parsed.has_value());
-  EXPECT_EQ(parsed->substrate, comm::SubstrateKind::kMpisim);
+  EXPECT_EQ(parsed->substrate, mpisim::SubstrateKind::kMpisim);
 
   // An unknown backend name is a malformed profile, not a silent default.
   EXPECT_FALSE(

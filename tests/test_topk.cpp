@@ -8,7 +8,6 @@
 
 #include "bc/kadabra.hpp"
 #include "bc/topk.hpp"
-#include "comm/substrate.hpp"
 #include "epoch/sparse_frame.hpp"
 #include "gen/barabasi_albert.hpp"
 #include "graph/components.hpp"
@@ -52,13 +51,11 @@ TEST(DistributedTopK, MatchesDirectSelectionOverTheSum) {
                               std::size_t{200}}) {
     const std::vector<bc::TopKEntry> expected = bc::local_top_k(global, k);
     mpisim::Runtime runtime(quiet(kRanks));
-    runtime.run([&](auto& rank_comm) {
-      const auto world =
-          comm::make_substrate(comm::SubstrateKind::kMpisim, rank_comm);
-      const epoch::SparseFrame local = make_local(kVertices, world->rank());
+    runtime.run([&](mpisim::Comm& world) {
+      const epoch::SparseFrame local = make_local(kVertices, world.rank());
       const std::vector<bc::TopKEntry> got =
-          bc::distributed_top_k(*world, local, k);
-      if (world->rank() == 0) {
+          bc::distributed_top_k(world, local, k);
+      if (world.rank() == 0) {
         EXPECT_EQ(got, expected);
       } else {
         EXPECT_TRUE(got.empty());
@@ -83,11 +80,9 @@ TEST(DistributedTopK, SingleRankAndEmptyFrames) {
   EXPECT_EQ(top[0].count, 1u);
 
   mpisim::Runtime runtime(quiet(3));
-  runtime.run([&](auto& rank_comm) {
-    const auto world =
-        comm::make_substrate(comm::SubstrateKind::kMpisim, rank_comm);
+  runtime.run([&](mpisim::Comm& world) {
     const epoch::SparseFrame empty(8);  // nothing sampled anywhere
-    const auto got = bc::distributed_top_k(*world, empty, 4);
+    const auto got = bc::distributed_top_k(world, empty, 4);
     EXPECT_TRUE(got.empty());
   });
 }
@@ -107,11 +102,9 @@ TEST(KadabraTopK, EveryRankGetsTheRootsAnswer) {
   constexpr int kRanks = 4;
   mpisim::Runtime runtime(quiet(kRanks));
   std::vector<bc::BcResult> results(kRanks);
-  runtime.run([&](auto& rank_comm) {
-    const auto world =
-        comm::make_substrate(comm::SubstrateKind::kMpisim, rank_comm);
-    results[static_cast<std::size_t>(world->rank())] =
-        bc::kadabra_mpi_rank(graph, options, *world);
+  runtime.run([&](mpisim::Comm& world) {
+    results[static_cast<std::size_t>(world.rank())] =
+        bc::kadabra_mpi_rank(graph, options, world);
   });
 
   const bc::BcResult& root = results[0];

@@ -8,9 +8,14 @@
 // original graph's connectivity is preserved by construction) and the two
 // modes replay the SAME batch sequence:
 //
-//   incremental  one engine survives all batches; per batch it classifies
-//                its retained samples against the batch sketches, redraws
-//                only the dirty ones, and re-runs the stop rule;
+//   incremental  one dynamic::DynamicState whose engine survives all
+//                batches; per batch it classifies its retained samples
+//                against the batch sketches, redraws only the dirty ones,
+//                and re-runs the stop rule. Every deletion removes an edge
+//                inserted after the engine's first run proved the
+//                diameter bound, so no batch recomputes it
+//                (churn_*_incremental_diameter_bfs counts the
+//                eccentricities the applies computed);
 //   full         a fresh engine per graph version (diameter, calibration,
 //                and every sample from scratch).
 //
@@ -23,12 +28,12 @@
 #include <vector>
 
 #include "bench_common.hpp"
+#include "dynamic/dynamic_state.hpp"
 #include "dynamic/edge_batch.hpp"
 #include "dynamic/incremental_bc.hpp"
 #include "dynamic/mutable_graph.hpp"
 #include "gen/barabasi_albert.hpp"
 #include "graph/components.hpp"
-#include "graph/diameter.hpp"
 #include "support/random.hpp"
 #include "support/timer.hpp"
 
@@ -158,28 +163,25 @@ int main(int argc, char** argv) {
 
     // --- Incremental: one engine, refresh per batch --------------------
     // The initial build is shared setup, not churn cost: the timer starts
-    // once it is done, so the arm times only the per-batch refreshes.
-    dynamic::IncrementalBc engine(params, sketch, sample_batch);
-    engine.run(initial);
+    // once it is done, so the arm times only the per-batch applies.
+    dynamic::DynamicState state(initial, sketch, sample_batch);
+    (void)state.query(params);
     const WallTimer incremental_timer;
-    dynamic::MutableGraph mutable_graph(initial);
     std::uint64_t dirty = 0, retained = 0, resampled = 0, topup = 0,
-                  recalibrations = 0;
+                  recalibrations = 0, diameter_bfs = 0;
     for (const dynamic::EdgeBatch& batch : sequence) {
-      mutable_graph.apply(batch);
-      const std::uint32_t bound =
-          batch.deletes().empty()
-              ? 0
-              : graph::vertex_diameter(*mutable_graph.snapshot(),
-                                       params.exact_diameter)
-                    .value;
-      const auto stats =
-          engine.refresh(mutable_graph.snapshot(), batch, bound);
-      dirty += stats.dirty;
-      retained += stats.retained;
-      resampled += stats.resampled;
-      topup += stats.topup;
-      recalibrations += stats.recalibrated ? 1 : 0;
+      const dynamic::ApplyReport report = state.apply(batch);
+      if (!report.status.ok) {
+        std::fprintf(stderr, "apply failed: %s\n",
+                     report.status.message.c_str());
+        return 1;
+      }
+      dirty += report.samples_dirty;
+      retained += report.samples_retained;
+      resampled += report.samples_resampled;
+      topup += report.samples_topup;
+      recalibrations += report.recalibrations;
+      diameter_bfs += report.diameter_bfs;
     }
     const double incremental_seconds = incremental_timer.elapsed_s();
     // Draws the churn cost: every resample (on its slot's own stream) and
@@ -225,6 +227,7 @@ int main(int argc, char** argv) {
     json.field("retained", static_cast<double>(retained));
     json.field("topup", static_cast<double>(topup));
     json.field("recalibrations", static_cast<double>(recalibrations));
+    json.field("diameter_bfs", static_cast<double>(diameter_bfs));
     json.field("draws", static_cast<double>(incremental_draws));
     json.field("est_seconds", incremental_seconds);
     json.begin_row();
@@ -237,6 +240,8 @@ int main(int argc, char** argv) {
     const std::string tag = point.tag;
     json.summary("churn_" + tag + "_dirty_fraction", dirty_fraction);
     json.summary("churn_" + tag + "_draws_saved_frac", draws_saved);
+    json.summary("churn_" + tag + "_incremental_diameter_bfs",
+                 static_cast<double>(diameter_bfs));
     json.summary("est_churn_" + tag + "_incremental_seconds",
                  incremental_seconds);
     json.summary("est_churn_" + tag + "_full_seconds", full_seconds);

@@ -239,22 +239,29 @@ void Session::adopt_apply(const dynamic::ApplyReport& report) {
   // through its omega bucket, so a warm state survives as long as its
   // cached bound's bucket still covers the new graph - always on
   // insert-only batches (distances only shrink; diameter_bound stays 0),
-  // and on deletion batches when the recomputed bound's bucket is not
-  // higher. Survivors are re-stamped to the new fingerprint (and their
-  // bound raised to the recomputed one) so provenance checks keep
+  // and on deletion batches when the new graph's bound is not in a higher
+  // bucket. A covered deletion batch reports the proof's bound, which may
+  // sit in a higher bucket than the new graph's; a warm state below it
+  // reads the new graph's own bound (DynamicState::proven_bound()) before
+  // deciding. Survivors are re-stamped to the new fingerprint (and their
+  // bound raised to the reported one) so provenance checks keep
   // accepting them; a grown bucket drops the entry (omega would be too
   // small for the grown diameter).
   for (auto it = calibrations_.begin(); it != calibrations_.end();) {
     const auto& warm = it->second;
-    if (graph::omega_bucket(report.diameter_bound) >
+    std::uint32_t bound = report.diameter_bound;
+    if (graph::omega_bucket(warm->vertex_diameter) <
+        graph::omega_bucket(bound)) {
+      bound = dynamic_->proven_bound();
+    }
+    if (graph::omega_bucket(bound) >
         graph::omega_bucket(warm->vertex_diameter)) {
       it = calibrations_.erase(it);
       continue;
     }
     auto restamped = std::make_shared<bc::KadabraWarmState>(*warm);
     restamped->graph_fingerprint = report.fingerprint;
-    restamped->vertex_diameter =
-        std::max(warm->vertex_diameter, report.diameter_bound);
+    restamped->vertex_diameter = std::max(warm->vertex_diameter, bound);
     restamped->context.vertex_diameter = restamped->vertex_diameter;
     it->second = std::move(restamped);
     ++it;

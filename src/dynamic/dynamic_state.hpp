@@ -16,14 +16,32 @@
 // typed Status. Vertex-diameter bounds are touched only when they can be
 // violated: insert-only batches shrink distances and keep every cached
 // bound; a deletion batch recomputes one bound, iFUB stopped at the omega
-// bucket, and engines recalibrate only when its omega bucket exceeds that
-// of their cached bound.
+// bucket, unless every deleted edge was inserted after the last proof
+// (below); engines recalibrate only when the new graph's omega bucket
+// exceeds that of their cached bound.
+//
+// The proof: a bound c on the vertex diameter of some connected snapshot
+// P, plus the set A of edges inserted since P and still present. Deletion
+// batches that delete edges of P re-prove on the new snapshot (P = it,
+// A = {}); so does an engine's first run when its phase-1 bound lies in a
+// lower omega bucket than c. Otherwise the current graph contains P, so it
+// is connected and VD(current) <= VD(P) <= c. A deletion batch whose
+// deleted edges all lie in A is "covered": it keeps that containment,
+// skips the connectivity BFS and the iFUB, and reports c. Engines never
+// sit below c's bucket; other consumers whose cached bound does (a Session
+// warm state calibrated after inserts shrank the graph) cannot tell from c
+// whether the new graph outgrew them, so they read proven_bound() - the
+// recompute a covered batch skipped, made at most once per graph version.
+// Every recalibration and dropped warm state thus happens exactly where
+// the recompute would have caused it.
 #pragma once
 
 #include <cstdint>
 #include <map>
 #include <memory>
 #include <mutex>
+#include <optional>
+#include <set>
 #include <tuple>
 #include <vector>
 
@@ -48,12 +66,16 @@ struct ApplyReport {
   bool had_deletes = false;
   /// Whether the slack CSR served the batch without a rebuild.
   bool in_place = false;
-  /// Vertex-diameter upper bound recomputed for the NEW graph (iFUB
-  /// stopped at the omega bucket: the bound shares the exact value's
-  /// bucket), or 0 when the batch was insert-only and every cached bound
-  /// stayed valid untouched.
+  /// Vertex-diameter upper bound for the NEW graph, or 0 when the batch
+  /// was insert-only and every cached bound stayed valid untouched. A
+  /// deletion batch recomputes it (iFUB stopped at the omega bucket: the
+  /// bound shares the exact value's bucket) unless every deleted edge was
+  /// inserted after the last proof; then it is the proof's bound, which
+  /// may lie in a higher bucket than the new graph's (see
+  /// DynamicState::proven_bound()).
   std::uint32_t diameter_bound = 0;
-  /// Eccentricities that recomputation took (0 on insert-only batches).
+  /// Eccentricities that recomputation took (0 on insert-only batches and
+  /// on deletion batches the proof covered).
   std::uint64_t diameter_bfs = 0;
 
   // Ledger accounting, summed over every refreshed engine.
@@ -76,8 +98,9 @@ struct ApplyReport {
 
 class DynamicState {
  public:
-  /// `sample_batch` is the traversal-kernel width engines run at
-  /// (0 = the default of 16).
+  /// `sample_batch` is the traversal-kernel width engines run at (values
+  /// <= 0 select 16). api::Session passes Config::sample_batch, which
+  /// defaults to 1, so a session's incremental engine runs one lane.
   DynamicState(std::shared_ptr<const graph::Graph> initial,
                SketchParams sketch, int sample_batch);
 
@@ -106,6 +129,14 @@ class DynamicState {
   /// (callers validate; a fresh engine asserts).
   [[nodiscard]] QueryView query(const bc::KadabraParams& params);
 
+  /// The current snapshot's vertex-diameter bound as a non-covered
+  /// deletion batch computes it (iFUB stopped at the omega bucket),
+  /// computed at most once per graph version. A consumer whose cached
+  /// bound lies in a lower omega bucket than a covered batch's
+  /// ApplyReport::diameter_bound reads it before it recalibrates or drops
+  /// anything. Requires a connected snapshot.
+  [[nodiscard]] std::uint32_t proven_bound();
+
   [[nodiscard]] std::shared_ptr<const graph::Graph> snapshot() const;
   [[nodiscard]] std::uint64_t version() const;
   [[nodiscard]] std::uint64_t fingerprint() const;
@@ -122,8 +153,22 @@ class DynamicState {
             params.exact_diameter, params.initial_samples, params.balancing};
   }
 
+  /// See the file comment. `bound` 0 = no proof held; `added` is empty
+  /// then.
+  struct Proof {
+    std::uint32_t bound = 0;
+    std::set<Edge> added;
+  };
+  /// proven_bound()'s value for one graph version.
+  struct VersionBound {
+    std::uint64_t version = 0;
+    std::uint32_t value = 0;
+  };
+
   mutable std::mutex mutex_;
   MutableGraph graph_;
+  Proof proof_;
+  std::optional<VersionBound> version_bound_;
   SketchParams sketch_;
   int sample_batch_;
   std::map<EngineKey, std::unique_ptr<IncrementalBc>> engines_;

@@ -27,6 +27,7 @@
 #include "dynamic/mutable_graph.hpp"
 #include "gen/barabasi_albert.hpp"
 #include "gen/erdos_renyi.hpp"
+#include "graph/builder.hpp"
 #include "graph/components.hpp"
 #include "graph/diameter.hpp"
 #include "graph/stats.hpp"
@@ -456,6 +457,141 @@ TEST(DynamicState, RefreshAccountingCoversEveryRetainedSample) {
   EXPECT_EQ(second.samples, first.samples + report.samples_topup);
 }
 
+/// The bound policy before proofs, kept as the reference: one engine on a
+/// MutableGraph, refreshed with a bound recomputed on every deletion batch.
+struct RecomputingTwin {
+  RecomputingTwin(const std::shared_ptr<const graph::Graph>& initial,
+                  const bc::KadabraParams& params)
+      : graph(initial), engine(params, exact_sketch(), 8) {
+    engine.run(initial);
+  }
+
+  dynamic::IncrementalBc::RefreshStats apply(dynamic::EdgeBatch batch) {
+    EXPECT_TRUE(batch.validate(*graph.snapshot()).ok);
+    graph.apply(batch);
+    const std::uint32_t bound =
+        batch.deletes().empty()
+            ? 0
+            : graph::vertex_diameter(*graph.snapshot(), /*ifub=*/true).value;
+    return engine.refresh(graph.snapshot(), batch, bound);
+  }
+
+  dynamic::MutableGraph graph;
+  dynamic::IncrementalBc engine;
+};
+
+/// Checks one report against the twin's refresh of the same batch and the
+/// state's scores against the twin's, bitwise.
+void expect_matches_twin(dynamic::DynamicState& state,
+                         const dynamic::ApplyReport& report,
+                         const dynamic::IncrementalBc::RefreshStats& stats,
+                         const RecomputingTwin& twin) {
+  ASSERT_TRUE(report.status.ok) << report.status.message;
+  EXPECT_EQ(report.samples_dirty, stats.dirty);
+  EXPECT_EQ(report.samples_resampled, stats.resampled);
+  EXPECT_EQ(report.samples_topup, stats.topup);
+  EXPECT_EQ(report.recalibrations, stats.recalibrated ? 1u : 0u);
+  const auto view = state.query(churn_params());
+  EXPECT_EQ(view.samples, twin.engine.samples());
+  EXPECT_EQ(view.scores, twin.engine.scores());
+}
+
+TEST(DynamicState, CoveredDeletionsSkipTheRecomputeAndMatchTheTwin) {
+  const auto initial = std::make_shared<const graph::Graph>(churn_graph());
+  dynamic::DynamicState state(initial, exact_sketch(), 8);
+  ASSERT_TRUE(state.query(churn_params()).first_run);  // proves the bound
+  RecomputingTwin twin(initial, churn_params());
+
+  // Each round inserts three edges and deletes the previous round's: every
+  // deletion removes an edge added after the proof.
+  Rng rng(99);
+  std::vector<dynamic::Edge> inserted;
+  std::vector<dynamic::Edge> previous;
+  for (int round = 0; round < 6; ++round) {
+    dynamic::EdgeBatch batch =
+        random_insert_batch(*state.snapshot(), 3, rng, &inserted);
+    const std::vector<dynamic::Edge> added(inserted.end() - 3, inserted.end());
+    for (const dynamic::Edge& edge : previous) batch.remove(edge.u, edge.v);
+    previous = added;
+    const dynamic::ApplyReport report = state.apply(batch);
+    EXPECT_EQ(report.diameter_bfs, 0u) << round;
+    EXPECT_EQ(report.diameter_bound != 0, round > 0) << round;
+    expect_matches_twin(state, report, twin.apply(batch), twin);
+  }
+  EXPECT_EQ(state.snapshot()->num_edges(), twin.graph.snapshot()->num_edges());
+}
+
+TEST(DynamicState, DeletingAProvenEdgeRecomputesAndReproves) {
+  const auto initial = std::make_shared<const graph::Graph>(churn_graph());
+  dynamic::DynamicState state(initial, exact_sketch(), 8);
+  ASSERT_TRUE(state.query(churn_params()).first_run);
+  RecomputingTwin twin(initial, churn_params());
+  const auto apply_both = [&](const dynamic::EdgeBatch& batch) {
+    const dynamic::ApplyReport report = state.apply(batch);
+    expect_matches_twin(state, report, twin.apply(batch), twin);
+    return report;
+  };
+
+  const dynamic::Edge added = missing_edge(*initial, 5);
+  const dynamic::Edge dropped = present_edge(*initial, 20);
+  dynamic::EdgeBatch insert;
+  insert.insert(added.u, added.v);
+  EXPECT_EQ(apply_both(insert).diameter_bfs, 0u);
+
+  // `dropped` belongs to the proven snapshot: recompute, then re-prove on
+  // the new snapshot, which contains `added`.
+  dynamic::EdgeBatch proven;
+  proven.remove(dropped.u, dropped.v);
+  const dynamic::ApplyReport recomputed = apply_both(proven);
+  EXPECT_GT(recomputed.diameter_bfs, 0u);
+  EXPECT_GT(recomputed.diameter_bound, 0u);
+
+  // `added` is now part of the proof's snapshot, so deleting it recomputes.
+  dynamic::EdgeBatch again;
+  again.remove(added.u, added.v);
+  EXPECT_GT(apply_both(again).diameter_bfs, 0u);
+  EXPECT_EQ(state.proven_bound(),
+            graph::vertex_diameter(*state.snapshot(), /*ifub=*/true).value);
+}
+
+TEST(DynamicState, DisconnectingBatchOnAProvenEdgeIsStillRejected) {
+  const auto initial = std::make_shared<const graph::Graph>(churn_graph());
+  dynamic::DynamicState state(initial, exact_sketch(), 8);
+  ASSERT_TRUE(state.query(churn_params()).first_run);
+
+  graph::Vertex loner = 0;
+  for (graph::Vertex v = 0; v < initial->num_vertices(); ++v)
+    if (initial->degree(v) < initial->degree(loner)) loner = v;
+  const dynamic::Edge added =
+      missing_edge(*initial, loner == 0 ? 1 : 0);  // avoids touching loner
+  ASSERT_NE(added.u, loner);
+  ASSERT_NE(added.v, loner);
+  dynamic::EdgeBatch insert;
+  insert.insert(added.u, added.v);
+  ASSERT_TRUE(state.apply(insert).status.ok);
+  const std::uint64_t fingerprint = state.fingerprint();
+
+  // Deletes an edge added since the proof plus every proven edge of one
+  // vertex: not covered, so the connectivity check runs and rejects it.
+  dynamic::EdgeBatch isolate;
+  isolate.remove(added.u, added.v);
+  for (const graph::Vertex v : initial->neighbors(loner))
+    isolate.remove(loner, v);
+  const dynamic::ApplyReport rejected = state.apply(isolate);
+  EXPECT_FALSE(rejected.status.ok);
+  EXPECT_NE(rejected.status.message.find("disconnect"), std::string::npos);
+  EXPECT_EQ(state.fingerprint(), fingerprint);
+
+  // The rejection left the proof untouched: deleting `added` alone is
+  // still covered.
+  dynamic::EdgeBatch covered;
+  covered.remove(added.u, added.v);
+  const dynamic::ApplyReport report = state.apply(covered);
+  ASSERT_TRUE(report.status.ok) << report.status.message;
+  EXPECT_EQ(report.diameter_bfs, 0u);
+  EXPECT_EQ(report.fingerprint, graph::fingerprint(*initial));
+}
+
 // --- Session / pool / dispatcher apply paths -----------------------------------
 
 api::Config dynamic_config(int pool_size = 2) {
@@ -557,7 +693,9 @@ TEST(SessionApply, HubChurnStaysWithinEpsilonOfBrandes) {
     for (const dynamic::Edge& edge : previous) batch.remove(edge.u, edge.v);
     const dynamic::ApplyReport report = session.apply(std::move(batch));
     ASSERT_TRUE(report.status.ok) << report.status.message;
-    EXPECT_EQ(report.diameter_bfs > 0, !previous.empty()) << round;
+    // Every deletion removes the previous round's inserts, made after the
+    // first run proved the diameter bound: no batch recomputes it.
+    EXPECT_EQ(report.diameter_bfs, 0u) << round;
     previous = added;
 
     const api::Result result = session.run(query);
@@ -569,6 +707,61 @@ TEST(SessionApply, HubChurnStaysWithinEpsilonOfBrandes) {
       max_error = std::max(max_error, std::abs(result.scores[v] - exact[v]));
     EXPECT_LE(max_error, query.epsilon) << "round " << round;
   }
+}
+
+TEST(SessionApply, WarmStatesBelowTheProofsBucketReadTheNewGraphsBound) {
+  // A 40-vertex path (vertex diameter 40, omega bucket 5); closing it into
+  // a cycle drops the vertex diameter to 21 (bucket 4).
+  constexpr graph::Vertex kPath = 40;
+  graph::Builder builder(kPath);
+  for (graph::Vertex v = 0; v + 1 < kPath; ++v) builder.add_edge(v, v + 1);
+  const auto path = std::make_shared<const graph::Graph>(builder.finish());
+  api::Session session(path, dynamic_config());
+  ASSERT_TRUE(session.status().ok);
+  api::BetweennessQuery incremental;
+  incremental.epsilon = 0.1;
+  incremental.incremental = true;
+  ASSERT_TRUE(session.run(incremental).status.ok);  // proves on the path
+
+  dynamic::EdgeBatch close;
+  close.insert(0, kPath - 1);  // the chord that drops the bucket
+  close.insert(10, 12);
+  ASSERT_TRUE(session.apply(std::move(close)).status.ok);
+
+  // A warm state calibrated on the cycle sits below the proof's bucket.
+  api::BetweennessQuery query;
+  query.epsilon = 0.1;
+  ASSERT_TRUE(session.run(query).status.ok);
+  ASSERT_EQ(session.calibrations().size(), 1u);
+  const std::uint32_t warm_bound = session.calibrations()[0]->vertex_diameter;
+  ASSERT_LT(graph::omega_bucket(warm_bound), graph::omega_bucket(kPath));
+
+  // Covered, and the graph stays a cycle: the warm state survives, as it
+  // would after a recompute, and the incremental engine keeps its omega.
+  dynamic::EdgeBatch shortcut;
+  shortcut.remove(10, 12);
+  const dynamic::ApplyReport kept = session.apply(std::move(shortcut));
+  ASSERT_TRUE(kept.status.ok) << kept.status.message;
+  EXPECT_EQ(kept.diameter_bfs, 0u);
+  EXPECT_GE(graph::omega_bucket(kept.diameter_bound),
+            graph::omega_bucket(kPath));
+  EXPECT_EQ(kept.recalibrations, 0u);
+  ASSERT_EQ(session.calibrations().size(), 1u);
+  EXPECT_EQ(session.calibrations()[0]->graph_fingerprint, kept.fingerprint);
+  EXPECT_EQ(graph::omega_bucket(session.calibrations()[0]->vertex_diameter),
+            graph::omega_bucket(warm_bound));
+  EXPECT_TRUE(session.run(query).calibration_reused);
+
+  // Covered again, but the path is back: the warm state's omega is too
+  // small now, so it is dropped, as a recompute would have dropped it.
+  dynamic::EdgeBatch reopen;
+  reopen.remove(0, kPath - 1);
+  const dynamic::ApplyReport dropped = session.apply(std::move(reopen));
+  ASSERT_TRUE(dropped.status.ok) << dropped.status.message;
+  EXPECT_EQ(dropped.diameter_bfs, 0u);
+  EXPECT_EQ(dropped.recalibrations, 0u);
+  EXPECT_TRUE(session.calibrations().empty());
+  EXPECT_FALSE(session.run(query).calibration_reused);
 }
 
 TEST(SessionPoolApply, PostApplyResponsesBitwiseIdenticalAcrossPoolSizes) {

@@ -9,11 +9,13 @@
 // modes replay the SAME batch sequence:
 //
 //   incremental  one dynamic::DynamicState whose engine survives all
-//                batches; per batch it classifies its retained samples
-//                against the batch sketches, redraws only the dirty ones,
-//                and re-runs the stop rule. Every deletion removes an edge
-//                inserted after the engine's first run proved the
-//                diameter bound, so no batch recomputes it
+//                batches; per batch it marks dirty the samples whose
+//                shortest-path set the batch changed (the exact distance
+//                test: one BFS per distinct batch endpoint, or a full
+//                redraw when those BFS runs would cost more), redraws
+//                only those, and re-runs the stop rule. Every deletion
+//                removes an edge inserted after the engine's first run
+//                proved the diameter bound, so no batch recomputes it
 //                (churn_*_incremental_diameter_bfs counts the
 //                eccentricities the applies computed);
 //   full         a fresh engine per graph version (diameter, calibration,
@@ -107,8 +109,6 @@ int main(int argc, char** argv) {
       config.options.get_double("eps", 0.05, "KADABRA epsilon");
   const int batches = static_cast<int>(
       config.options.get_u64("batches", 5, "churn batches per rate"));
-  const std::uint64_t sketch_cap = config.options.get_u64(
-      "sketch_cap", 256, "scanned-set sketch size kept exact");
   const int sample_batch = static_cast<int>(
       config.options.get_u64("sample_batch", 16, "traversal-kernel width"));
   config.finish(
@@ -135,15 +135,12 @@ int main(int argc, char** argv) {
   params.delta = 0.1;
   params.seed = config.seed;
   params.exact_diameter = true;
-  dynamic::SketchParams sketch;
-  sketch.exact_cap = static_cast<std::uint32_t>(sketch_cap);
 
   bench::JsonReport json("churn_ablation", config);
   json.param("vertices", static_cast<double>(initial->num_vertices()));
   json.param("edges", static_cast<double>(edges));
   json.param("eps", epsilon);
   json.param("batches", static_cast<double>(batches));
-  json.param("sketch_cap", static_cast<double>(sketch_cap));
 
   const std::vector<ChurnPoint> points = {
       {0.0001, "0p01"}, {0.001, "0p10"}, {0.01, "1p00"}};
@@ -164,7 +161,7 @@ int main(int argc, char** argv) {
     // --- Incremental: one engine, refresh per batch --------------------
     // The initial build is shared setup, not churn cost: the timer starts
     // once it is done, so the arm times only the per-batch applies.
-    dynamic::DynamicState state(initial, sketch, sample_batch);
+    dynamic::DynamicState state(initial, sample_batch);
     (void)state.query(params);
     const WallTimer incremental_timer;
     std::uint64_t dirty = 0, retained = 0, resampled = 0, topup = 0,
@@ -197,7 +194,7 @@ int main(int argc, char** argv) {
       dynamic::MutableGraph replay(initial);
       for (const dynamic::EdgeBatch& batch : sequence) {
         replay.apply(batch);
-        dynamic::IncrementalBc fresh(params, sketch, sample_batch);
+        dynamic::IncrementalBc fresh(params, sample_batch);
         fresh.run(replay.snapshot());
         full_draws += fresh.next_stream();
       }

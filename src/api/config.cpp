@@ -280,9 +280,6 @@ const std::vector<Entry>& entries() {
                      "DISTBC_SERVICE_WARM_STORE_MAX_ENTRIES",
                      service_warm_store_max_entries,
                      "persisted warm states kept per version (0 = unbounded)"),
-      DISTBC_U64_KEY("dynamic_sketch_cap", "DISTBC_DYNAMIC_SKETCH_CAP",
-                     dynamic_sketch_cap,
-                     "scanned-set sketch size kept exact (larger -> Bloom)"),
   };
   return table;
 }

@@ -125,13 +125,6 @@ struct Config {
   /// format version, evicting oldest-by-mtime past it (0 = unbounded).
   std::uint64_t service_warm_store_max_entries = 0;
 
-  // --- Dynamic graphs (src/dynamic/; incremental betweenness) -------------
-  /// Per-sample scanned-set sketches at or under this many vertices stay
-  /// exact sorted lists; larger ones fall back to a Bloom filter (whose
-  /// false positives only cost extra resamples, never wrong scores).
-  /// 0 = always Bloom.
-  std::uint64_t dynamic_sketch_cap = 256;
-
   // --- Typed-only fields (programmatic, not in the key table) -------------
   /// Link economics of the modeled cluster. The network preset
   /// (network_model_for) is applied on top of this at Session

@@ -213,11 +213,8 @@ Status Session::preload_calibration(
 
 void Session::ensure_dynamic() {
   if (dynamic_ != nullptr) return;
-  dynamic::SketchParams sketch;
-  sketch.exact_cap = static_cast<std::uint32_t>(
-      std::min<std::uint64_t>(config_.dynamic_sketch_cap, UINT32_MAX));
-  dynamic_ = std::make_shared<dynamic::DynamicState>(graph_, sketch,
-                                                     config_.sample_batch);
+  dynamic_ =
+      std::make_shared<dynamic::DynamicState>(graph_, config_.sample_batch);
 }
 
 void Session::bind_dynamic_state(

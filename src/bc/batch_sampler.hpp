@@ -33,15 +33,14 @@
 namespace distbc::bc {
 
 /// Per-sample tap on a BatchSampler: called once per finished sample,
-/// right after the frame record, while the lane's traversal state is
-/// still current. `path` holds the drawn path's interior vertices (empty
-/// for a disconnected pair), `scanned` the expanded vertices of both BFS
-/// sides. dynamic::SampleLedger records its invalidation sketches here.
+/// right after the frame record. `s` and `t` are the drawn pair, `path`
+/// the drawn path's interior vertices (empty for a disconnected or an
+/// adjacent pair). dynamic::SampleLedger records its samples here.
 class SampleObserver {
  public:
   virtual ~SampleObserver() = default;
-  virtual void on_sample(bool connected, std::span<const graph::Vertex> path,
-                         std::span<const graph::Vertex> scanned) = 0;
+  virtual void on_sample(graph::Vertex s, graph::Vertex t, bool connected,
+                         std::span<const graph::Vertex> path) = 0;
 };
 
 class BatchSampler {
@@ -152,19 +151,17 @@ class BatchSampler {
 
  private:
   /// Observer tap for the lane just finished (scratch_ still holds its
-  /// path). Reads the scanned set while the lane state is current.
+  /// path).
   void notify_observer(int lane, bool connected) {
     if (observer_ == nullptr) return;
-    scanned_scratch_.clear();
-    kernel_->append_lane_scanned(lane, scanned_scratch_);
-    observer_->on_sample(connected, scratch_, scanned_scratch_);
+    const auto [s, t] = kernel_->lane_pair(lane);
+    observer_->on_sample(s, t, connected, scratch_);
   }
 
   const graph::Graph* graph_;
   std::shared_ptr<graph::BatchedBidirectionalBfs> kernel_;
   Rng rng_;
   std::vector<graph::Vertex> scratch_;
-  std::vector<graph::Vertex> scanned_scratch_;
   std::uint64_t taken_ = 0;
   int lane_ = -1;
   SampleObserver* observer_ = nullptr;

@@ -10,9 +10,8 @@
 namespace distbc::dynamic {
 
 DynamicState::DynamicState(std::shared_ptr<const graph::Graph> initial,
-                           SketchParams sketch, int sample_batch)
+                           int sample_batch)
     : graph_(std::move(initial)),
-      sketch_(sketch),
       sample_batch_(sample_batch > 0 ? sample_batch : 16) {}
 
 ApplyReport DynamicState::apply(EdgeBatch batch) {
@@ -95,7 +94,6 @@ ApplyReport DynamicState::apply(EdgeBatch batch) {
     report.samples_dirty += stats.dirty;
     report.samples_resampled += stats.resampled;
     report.samples_topup += stats.topup;
-    report.bloom_dirty += stats.bloom_dirty;
     report.recalibrations += stats.recalibrated ? 1 : 0;
   }
   return report;
@@ -106,7 +104,7 @@ DynamicState::QueryView DynamicState::query(const bc::KadabraParams& params) {
   QueryView view;
   auto& engine = engines_[engine_key(params)];
   if (engine == nullptr) {
-    engine = std::make_unique<IncrementalBc>(params, sketch_, sample_batch_);
+    engine = std::make_unique<IncrementalBc>(params, sample_batch_);
     engine->run(graph_.snapshot());
     // Phase 1's bound is a proof on the current snapshot. It replaces the
     // held one only in a lower bucket: an equal bucket changes no decision
@@ -123,7 +121,6 @@ DynamicState::QueryView DynamicState::query(const bc::KadabraParams& params) {
   view.scores = engine->scores();
   view.samples = engine->samples();
   view.epochs = engine->epochs();
-  view.ledger_bloom = engine->ledger().bloom_sketches();
   view.vertex_diameter = engine->vertex_diameter();
   return view;
 }

@@ -83,7 +83,6 @@ struct ApplyReport {
   std::uint64_t samples_dirty = 0;
   std::uint64_t samples_resampled = 0;
   std::uint64_t samples_topup = 0;
-  std::uint64_t bloom_dirty = 0;
   std::uint64_t engines_refreshed = 0;
   std::uint64_t recalibrations = 0;
 
@@ -101,8 +100,7 @@ class DynamicState {
   /// `sample_batch` is the traversal-kernel width engines run at (values
   /// <= 0 select 16). api::Session passes Config::sample_batch, which
   /// defaults to 1, so a session's incremental engine runs one lane.
-  DynamicState(std::shared_ptr<const graph::Graph> initial,
-               SketchParams sketch, int sample_batch);
+  DynamicState(std::shared_ptr<const graph::Graph> initial, int sample_batch);
 
   /// Validates, applies, and propagates one batch through every live
   /// engine. On a rejected batch (validation failure, empty batch, or a
@@ -115,8 +113,6 @@ class DynamicState {
     std::vector<double> scores;
     std::uint64_t samples = 0;
     std::uint32_t epochs = 0;
-    /// Ledger records currently held as Bloom sketches.
-    std::uint64_t ledger_bloom = 0;
     std::uint32_t vertex_diameter = 0;
     /// True when this call created (and fully ran) the engine.
     bool first_run = false;
@@ -169,7 +165,6 @@ class DynamicState {
   MutableGraph graph_;
   Proof proof_;
   std::optional<VersionBound> version_bound_;
-  SketchParams sketch_;
   int sample_batch_;
   std::map<EngineKey, std::unique_ptr<IncrementalBc>> engines_;
 };

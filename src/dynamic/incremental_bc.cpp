@@ -1,6 +1,7 @@
 #include "dynamic/incremental_bc.hpp"
 
 #include <algorithm>
+#include <numeric>
 #include <utility>
 
 #include "graph/diameter.hpp"
@@ -8,25 +9,23 @@
 
 namespace distbc::dynamic {
 
-void IncrementalBc::Recorder::on_sample(bool connected,
-                                        std::span<const graph::Vertex> path,
-                                        std::span<const graph::Vertex> scanned) {
-  if (ledger == nullptr) return;
+void IncrementalBc::Recorder::on_sample(graph::Vertex s, graph::Vertex t,
+                                        bool connected,
+                                        std::span<const graph::Vertex> path) {
   if (replace_index < 0) {
-    ledger->record(stream, connected, path, scanned);
+    ledger->record(s, t, connected, path);
   } else {
-    ledger->replace(static_cast<std::size_t>(replace_index), stream, connected,
-                    path, scanned);
+    // Same stream, same pair: only the path and distance change.
+    DISTBC_DEBUG_ASSERT(ledger->source(replace_index) == s &&
+                        ledger->target(replace_index) == t);
+    ledger->replace(static_cast<std::size_t>(replace_index), connected, path);
   }
 }
 
-IncrementalBc::IncrementalBc(bc::KadabraParams params, SketchParams sketch,
-                             int sample_batch)
+IncrementalBc::IncrementalBc(bc::KadabraParams params, int sample_batch)
     : params_(params),
-      sketch_(sketch),
       sample_batch_(std::clamp(sample_batch, 1,
-                               graph::BatchedBidirectionalBfs::kMaxBatch)),
-      ledger_(sketch) {}
+                               graph::BatchedBidirectionalBfs::kMaxBatch)) {}
 
 void IncrementalBc::sample_chunk(std::span<const std::uint64_t> streams,
                                  std::span<const std::uint32_t> slots,
@@ -49,14 +48,18 @@ void IncrementalBc::sample_chunk(std::span<const std::uint64_t> streams,
   }
   samplers.front().flush_staged();
   Recorder recorder;
-  recorder.ledger = record ? &ledger_ : nullptr;
+  recorder.ledger = &ledger_;
   for (std::size_t i = 0; i < samplers.size(); ++i) {
-    recorder.stream = streams[i];
     recorder.replace_index =
         slots.empty() ? -1 : static_cast<std::int64_t>(slots[i]);
     if (record) samplers[i].set_observer(&recorder);
     samplers[i].finish_sample(frame);
   }
+  if (!record) return;
+  // Sampler i staged lane i of this chunk's fresh kernel batch.
+  draws_ += streams.size();
+  for (std::size_t i = 0; i < streams.size(); ++i)
+    draw_arcs_ += kernel_->lane_touched(static_cast<int>(i));
 }
 
 void IncrementalBc::sample_fresh(std::uint64_t count, epoch::StateFrame& frame,
@@ -68,6 +71,8 @@ void IncrementalBc::sample_fresh(std::uint64_t count, epoch::StateFrame& frame,
     streams.clear();
     for (std::size_t i = 0; i < width; ++i)
       streams.push_back(next_stream_ + i);
+    DISTBC_DEBUG_ASSERT(!record ||
+                        next_stream_ == ledger_stream_ + ledger_.size());
     sample_chunk(streams, {}, frame, record);
     next_stream_ += width;
     count -= width;
@@ -82,7 +87,7 @@ void IncrementalBc::resample_slots(std::span<const std::uint32_t> slots) {
         std::min(slots.size() - done, static_cast<std::size_t>(sample_batch_));
     streams.clear();
     for (std::size_t i = 0; i < width; ++i)
-      streams.push_back(ledger_.stream(slots[done + i]));
+      streams.push_back(ledger_stream_ + slots[done + i]);
     sample_chunk(streams, slots.subspan(done, width), aggregate_,
                  /*record=*/true);
     done += width;
@@ -113,6 +118,8 @@ void IncrementalBc::run(std::shared_ptr<const graph::Graph> graph) {
   kernel_ = std::make_shared<graph::BatchedBidirectionalBfs>(*graph_,
                                                              sample_batch_);
   ledger_.clear();
+  draws_ = 0;
+  draw_arcs_ = 0;
   epochs_ = 0;
   const graph::VertexDiameterBound bound =
       bc::kadabra_vertex_diameter(*graph_, params_);
@@ -125,7 +132,8 @@ void IncrementalBc::run(std::shared_ptr<const graph::Graph> graph) {
   epoch::StateFrame calibration_frame(graph_->num_vertices());
   sample_fresh(context_.initial_samples, calibration_frame, /*record=*/false);
   bc::finish_calibration(context_, calibration_frame);
-  // Phase 3: adaptive epochs, every sample sketched into the ledger.
+  // Phase 3: adaptive epochs, every sample recorded in the ledger.
+  ledger_stream_ = next_stream_;
   (void)adaptive_loop();
   ran_ = true;
 }
@@ -137,16 +145,38 @@ IncrementalBc::RefreshStats IncrementalBc::refresh(
   DISTBC_ASSERT(graph != nullptr);
   RefreshStats stats;
 
-  const SampleLedger::Classification verdict = ledger_.classify(batch);
-  stats.dirty = verdict.dirty.size();
-  stats.retained = ledger_.size() - verdict.dirty.size();
-  stats.bloom_dirty = verdict.bloom_dirty;
+  // The exact test pays while its BFS runs cost no more than redrawing
+  // the whole ledger. Costs count visited vertices and adjacency entries:
+  // a classify() BFS costs n + arcs; a redraw costs the mean adjacency
+  // entries this engine's draws scanned plus kDrawOverhead for its setup,
+  // path draw and ledger write. Measured on BA 3.5k/2 and 5k/2 (4-core
+  // Xeon): a full redraw takes 2.0-2.2 us per sample and scans 190-270
+  // entries, a BFS visit takes 4-6 ns, so one redraw costs ~350-500
+  // visits. The test's O(ledger x batch edges) comparisons are cheaper
+  // than either side. graph_ still holds the old snapshot, for the
+  // deleted edges' BFS runs.
+  constexpr double kDrawOverhead = 256;
+  const double mean_draw_arcs =
+      static_cast<double>(draw_arcs_) /
+      static_cast<double>(std::max<std::uint64_t>(draws_, 1));
+  const double redraw_cost =
+      static_cast<double>(ledger_.size()) * (kDrawOverhead + mean_draw_arcs);
+  std::vector<std::uint32_t> dirty;
+  if (auto exact = ledger_.classify(*graph_, *graph, batch, redraw_cost)) {
+    dirty = std::move(*exact);
+  } else {
+    dirty.resize(ledger_.size());
+    std::iota(dirty.begin(), dirty.end(), 0u);
+    stats.full_redraw = true;
+  }
+  stats.dirty = dirty.size();
+  stats.retained = ledger_.size() - dirty.size();
 
   // Subtract every dirty sample's contribution: its path counts and its
   // tau share (disconnected records contributed tau only).
   const std::span<std::uint64_t> raw = aggregate_.raw();
   const std::uint32_t n = aggregate_.num_vertices();
-  for (const std::uint32_t index : verdict.dirty) {
+  for (const std::uint32_t index : dirty) {
     for (const graph::Vertex v : ledger_.path(index)) {
       DISTBC_DEBUG_ASSERT(raw[v] > 0);
       --raw[v];
@@ -158,8 +188,8 @@ IncrementalBc::RefreshStats IncrementalBc::refresh(
   graph_ = std::move(graph);
   kernel_ = std::make_shared<graph::BatchedBidirectionalBfs>(*graph_,
                                                              sample_batch_);
-  resample_slots(verdict.dirty);
-  stats.resampled = verdict.dirty.size();
+  resample_slots(dirty);
+  stats.resampled = dirty.size();
 
   // Calibration-bound policy: 0 asserts the cached bound still covers the
   // new graph (insert-only batches). omega reads the bound only through

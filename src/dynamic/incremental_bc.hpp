@@ -5,10 +5,15 @@
 // omega, calibration, adaptive epochs), drawing every sample on its OWN
 // deterministic RNG stream (`Rng(params.seed).split(stream)`, one monotone
 // stream counter across the calibration and adaptive phases) and
-// recording a SampleLedger sketch per adaptive sample.
+// recording a SampleLedger record (pair, distance, path) per adaptive
+// sample; ledger slot i was drawn on stream ledger_stream_ + i.
 //
 // refresh(graph, batch, bound) is the incremental path:
-//   1. classify retained samples clean/dirty against the batch sketches;
+//   1. mark dirty exactly the samples whose shortest-path set the batch
+//      changed (SampleLedger::classify: one BFS per distinct batch
+//      endpoint, old snapshot for deletes, new one for inserts), or every
+//      sample when those BFS runs would cost more than redrawing the
+//      whole ledger;
 //   2. subtract the dirty samples' contributions from the aggregate frame
 //      (their paths and tau shares), keeping every clean contribution;
 //   3. redraw every dirty slot on its OWN stream against the new
@@ -50,8 +55,7 @@ namespace distbc::dynamic {
 class IncrementalBc {
  public:
   /// `sample_batch` is the traversal-kernel width (clamped to [1, 64]).
-  IncrementalBc(bc::KadabraParams params, SketchParams sketch,
-                int sample_batch);
+  IncrementalBc(bc::KadabraParams params, int sample_batch);
 
   /// From-scratch run on `graph` (must be connected): phases 1-3, ledger
   /// rebuilt. Resets any previous state except the stream counter (streams
@@ -63,9 +67,9 @@ class IncrementalBc {
     std::uint64_t dirty = 0;      // samples invalidated by the batch
     std::uint64_t resampled = 0;  // == dirty (same slots, same streams)
     std::uint64_t topup = 0;      // extra samples from re-running the stop rule
-    std::uint64_t bloom_dirty = 0;  // dirty verdicts from Bloom sketches
-    std::uint32_t epochs = 0;       // top-up epochs executed
-    bool recalibrated = false;      // omega/stopping radii re-derived
+    std::uint32_t epochs = 0;     // top-up epochs executed
+    bool recalibrated = false;    // omega/stopping radii re-derived
+    bool full_redraw = false;     // the exact test cost more: all dirty
   };
 
   /// Incremental refresh after `batch` produced snapshot `graph`.
@@ -100,10 +104,9 @@ class IncrementalBc {
   /// either appending or replacing a dirty slot.
   struct Recorder final : bc::SampleObserver {
     SampleLedger* ledger = nullptr;
-    std::uint64_t stream = 0;
     std::int64_t replace_index = -1;  // < 0 = append
-    void on_sample(bool connected, std::span<const graph::Vertex> path,
-                   std::span<const graph::Vertex> scanned) override;
+    void on_sample(graph::Vertex s, graph::Vertex t, bool connected,
+                   std::span<const graph::Vertex> path) override;
   };
 
   /// One kernel-wide chunk: a fresh single-sample BatchSampler per stream,
@@ -125,7 +128,6 @@ class IncrementalBc {
   std::uint64_t adaptive_loop();
 
   bc::KadabraParams params_;
-  SketchParams sketch_;
   int sample_batch_;
 
   std::shared_ptr<const graph::Graph> graph_;
@@ -136,6 +138,11 @@ class IncrementalBc {
   std::uint32_t vertex_diameter_ = 0;
   std::uint64_t diameter_bfs_ = 0;
   std::uint64_t next_stream_ = 0;
+  std::uint64_t ledger_stream_ = 0;  // stream of ledger slot 0
+  // Ledger draws made and adjacency entries their searches scanned: the
+  // measured cost of one redraw (refresh(), step 1).
+  std::uint64_t draws_ = 0;
+  std::uint64_t draw_arcs_ = 0;
   std::uint32_t epochs_ = 0;
   bool ran_ = false;
 };

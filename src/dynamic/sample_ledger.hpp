@@ -1,40 +1,37 @@
-// dynamic::SampleLedger - per-sample touched-region sketches, the record
-// that lets an edge batch invalidate exactly the samples it could have
-// changed.
+// dynamic::SampleLedger - the per-sample record that lets an edge batch
+// invalidate exactly the samples whose shortest-path set it changed.
 //
 // Every adaptive-phase sample is one sampled shortest path between a
-// random pair (s, t). The ledger stores, per sample: the drawn path's
-// interior vertices (to subtract its contribution from the aggregate), the
-// deterministic RNG stream index it was drawn on, and a sketch of the
-// sample's SCANNED region - the vertices whose adjacency lists the
-// balanced bidirectional BFS expanded, i.e. per side the levels
-// [0, completed_levels) (graph::BatchedBidirectionalBfs::
-// append_lane_scanned). The scanned set, NOT the full discovered ball, is
-// the sound invalidation region:
+// random pair (s, t). The ledger stores, per sample, only s, t, the
+// distance d = d(s, t) (the path's interior vertex count plus 1, or
+// kUnreachable for a disconnected pair) and the drawn path's interior
+// vertices (to subtract its contribution from the aggregate).
 //
-//   an edge (u, v) whose insertion or deletion changes the s-t
-//   shortest-path set satisfies d(s,u) + 1 + d(v,t) <= d in some
-//   orientation; at meeting the two sides' completed levels satisfy
-//   L_f + L_b >= d, so either d(s,u) <= L_f - 1 (u scanned by the s side)
-//   or d(v,t) <= L_b - 1 (v scanned by the t side). For disconnected
-//   pairs the exhausted side scanned its entire component, so any batch
-//   edge that could reconnect the pair has an endpoint in the sketch.
+// classify() is the exact distance test of Hayashi, Akiba & Yoshida (VLDB
+// 2015) and Bergamini & Meyerhenke (ESA 2015): one BFS per distinct
+// endpoint of a deleted edge on the OLD snapshot, one per distinct
+// endpoint of an inserted edge on the NEW snapshot, and a sample is dirty
+// iff some batch edge (u, v) gives
 //
-// A sample whose sketch contains NO endpoint of any batch edge is CLEAN:
-// its path and its distance balls are preserved by the batch (the balls
-// can neither gain vertices - any new path enters through an unscanned
-// endpoint at distance >= L, too far - nor lose them - deleted edges
-// touch no ball vertex), so the stored sketch itself stays valid and the
-// argument composes across stacked clean batches.
+//   d(s,u) + 1 + d(v,t) <= d   in either orientation,
 //
-// Sketch representation: an exact sorted vertex list up to
-// SketchParams::exact_cap scanned vertices, else a fixed-size Bloom
-// filter. Bloom false positives are SAFE by construction - a clean sample
-// misclassified dirty is resampled from the new graph, which only costs
-// work, never correctness (tests/test_dynamic.cpp pins this property).
+// with the distances of the graph that holds the edge. That is exactly
+// "some deleted edge lies on an old shortest s-t path, or some inserted
+// edge lies on a new one", which holds iff the s-t shortest-path set
+// changed: if neither holds, every old shortest path survives (so
+// d' <= d) and every new one already existed (so d <= d'), hence the sets
+// coincide. The insert test compares against the OLD d; when a mixed
+// batch lengthens the pair, some deleted edge lay on an old shortest path
+// and the delete test already fired.
+//
+// The test needs no history: a kept sample's pair has the same distance
+// and the same shortest paths on the new graph, so its record is exactly
+// what a fresh draw there would have stored, and the next batch tests it
+// the same way.
 #pragma once
 
 #include <cstdint>
+#include <optional>
 #include <span>
 #include <vector>
 
@@ -43,87 +40,63 @@
 
 namespace distbc::dynamic {
 
-struct SketchParams {
-  /// Scanned sets at or under this size store exact sorted vertex lists;
-  /// larger ones fall back to the Bloom filter. 0 = always Bloom.
-  std::uint32_t exact_cap = 256;
-  /// Bloom filter size in 64-bit words (4 probe bits per vertex).
-  std::uint32_t bloom_words = 16;
-};
-
 class SampleLedger {
  public:
-  SampleLedger() = default;
-  explicit SampleLedger(SketchParams params) : params_(params) {}
-
-  void clear() {
-    records_.clear();
-    bloom_sketches_ = 0;
-  }
+  void clear() { records_.clear(); }
 
   [[nodiscard]] std::size_t size() const { return records_.size(); }
-  /// Records currently sketched as Bloom filters (vs exact lists).
-  [[nodiscard]] std::uint64_t bloom_sketches() const {
-    return bloom_sketches_;
-  }
 
-  /// Appends the record of a freshly drawn sample. `path` holds the drawn
-  /// path's interior vertices (empty for a disconnected pair), `scanned`
-  /// the expanded vertices of both BFS sides.
-  void record(std::uint64_t stream, bool connected,
-              std::span<const graph::Vertex> path,
-              std::span<const graph::Vertex> scanned);
+  /// Appends the record of a freshly drawn sample of pair (s, t). `path`
+  /// holds the drawn path's interior vertices (empty for a disconnected
+  /// pair).
+  void record(graph::Vertex s, graph::Vertex t, bool connected,
+              std::span<const graph::Vertex> path);
 
-  /// Replaces record `index` in place - the resample path: a dirty slot
-  /// keeps its position, its contents become the fresh sample's.
-  void replace(std::size_t index, std::uint64_t stream, bool connected,
-               std::span<const graph::Vertex> path,
-               std::span<const graph::Vertex> scanned);
+  /// Replaces record `index`'s path and distance in place - the resample
+  /// path: a dirty slot keeps its position and its pair.
+  void replace(std::size_t index, bool connected,
+               std::span<const graph::Vertex> path);
 
   [[nodiscard]] std::span<const graph::Vertex> path(std::size_t index) const {
     return records_[index].path;
   }
-  [[nodiscard]] bool connected(std::size_t index) const {
-    return records_[index].connected;
+  [[nodiscard]] graph::Vertex source(std::size_t index) const {
+    return records_[index].s;
   }
-  [[nodiscard]] std::uint64_t stream(std::size_t index) const {
-    return records_[index].stream;
+  [[nodiscard]] graph::Vertex target(std::size_t index) const {
+    return records_[index].t;
   }
-  [[nodiscard]] bool is_bloom(std::size_t index) const {
-    return records_[index].bloom;
+  /// d(s, t) on the graph the record is valid for; kUnreachable when the
+  /// pair was disconnected.
+  [[nodiscard]] std::uint32_t distance(std::size_t index) const {
+    return records_[index].distance;
   }
 
-  struct Classification {
-    /// Dirty record indices, ascending.
-    std::vector<std::uint32_t> dirty;
-    /// Dirty verdicts decided by a Bloom sketch (possible false
-    /// positives); exact-sketch verdicts are never spurious.
-    std::uint64_t bloom_dirty = 0;
-  };
-
-  /// Classifies every record against `batch`: dirty iff the sketch may
-  /// contain an endpoint of any batch edge.
-  [[nodiscard]] Classification classify(const EdgeBatch& batch) const;
+  /// Dirty record indices, ascending: the records whose shortest-path set
+  /// `batch` changes when it turns `before` into `after` (file comment).
+  /// nullopt, before any BFS, when the BFS runs would cost more than
+  /// `budget`; each run costs `after`'s num_vertices + num_arcs.
+  [[nodiscard]] std::optional<std::vector<std::uint32_t>> classify(
+      const graph::Graph& before, const graph::Graph& after,
+      const EdgeBatch& batch, double budget);
 
  private:
   struct Record {
-    std::uint64_t stream = 0;
-    bool connected = false;
-    bool bloom = false;
-    std::vector<graph::Vertex> path;     // interior vertices, draw order
-    std::vector<graph::Vertex> touched;  // exact sketch: sorted scanned set
-    std::vector<std::uint64_t> bits;     // Bloom sketch words
+    graph::Vertex s = 0;
+    graph::Vertex t = 0;
+    std::uint32_t distance = 0;
+    std::vector<graph::Vertex> path;  // interior vertices, draw order
   };
 
-  void fill(Record& record, std::uint64_t stream, bool connected,
-            std::span<const graph::Vertex> path,
-            std::span<const graph::Vertex> scanned) const;
-  [[nodiscard]] static bool may_contain(const Record& record,
-                                        graph::Vertex v);
-
-  SketchParams params_;
   std::vector<Record> records_;
-  std::uint64_t bloom_sketches_ = 0;
+
+  // classify() workspace, reused across calls: the distinct endpoints of
+  // the deletes, then of the inserts; one num_vertices row of distances
+  // per endpoint, in that order; the BFS queue.
+  std::vector<graph::Vertex> deleted_ends_;
+  std::vector<graph::Vertex> inserted_ends_;
+  std::vector<std::uint32_t> rows_;
+  std::vector<graph::Vertex> queue_;
 };
 
 }  // namespace distbc::dynamic

@@ -262,19 +262,6 @@ void BatchedBidirectionalBfs::walk_to_root(int side_index, Vertex v, Rng& rng,
   }
 }
 
-void BatchedBidirectionalBfs::append_lane_scanned(int lane,
-                                                  std::vector<Vertex>& out) {
-  DISTBC_DEBUG_ASSERT(lane >= 0 && lane < staged_ && ran_);
-  ensure_ran(lane);
-  DISTBC_ASSERT_MSG(lane == last_run_,
-                    "append_lane_scanned(lane) requires lane state to be "
-                    "current: finish lanes in ascending order");
-  for (const SideState& side : sides_) {
-    const std::uint32_t end = side.level_starts[side.completed_levels];
-    out.insert(out.end(), side.order.begin(), side.order.begin() + end);
-  }
-}
-
 void BatchedBidirectionalBfs::sample_path(int lane, Rng& rng,
                                           std::vector<Vertex>& out) {
   const auto l = static_cast<std::size_t>(lane);

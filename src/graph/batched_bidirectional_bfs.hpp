@@ -85,12 +85,12 @@ class BatchedBidirectionalBfs {
   /// that no later lane's result has been read yet.
   void sample_path(int lane, Rng& rng, std::vector<Vertex>& out);
 
-  /// Appends lane `lane`'s SCANNED vertices — both sides' expanded levels
-  /// [0, completed_levels), i.e. every vertex whose adjacency list the
-  /// search read — to `out`. Same currency requirement as sample_path():
-  /// no later lane's result may have been read yet. Duplicates are
-  /// possible across (not within) sides.
-  void append_lane_scanned(int lane, std::vector<Vertex>& out);
+  /// The (s, t) pair staged into lane `lane`.
+  [[nodiscard]] std::pair<Vertex, Vertex> lane_pair(int lane) const {
+    DISTBC_DEBUG_ASSERT(lane >= 0 && lane < staged_);
+    const auto l = static_cast<std::size_t>(lane);
+    return {s_[l], t_[l]};
+  }
 
   /// Vertices touched by lane `lane` (both sides) — equals the scalar
   /// kernel's last_touched() for the same pair.

@@ -410,6 +410,10 @@ TEST(ApiConfig, UnknownKeysAndMalformedValuesAreRejected) {
   const api::Status unknown = config.set("bogus_knob", "1");
   EXPECT_FALSE(unknown.ok);
   EXPECT_NE(unknown.message.find("unknown config key"), std::string::npos);
+  // Retired keys are unknown too (the incremental ledger's sketch cap).
+  const api::Status retired = config.set("dynamic_sketch_cap", "256");
+  EXPECT_FALSE(retired.ok);
+  EXPECT_NE(retired.message.find("unknown config key"), std::string::npos);
 
   EXPECT_FALSE(config.load_text("frame_rep = dense\nbogus_knob = 1\n").ok);
   EXPECT_EQ(config.frame_rep, epoch::FrameRep::kDense);  // applied before stop

@@ -4,9 +4,11 @@
 // exactly), IncrementalBc must keep clean samples across churn, replay
 // bitwise-deterministically, recalibrate only when the vertex-diameter
 // bound's omega bucket grows, and stay within epsilon of exact Brandes
-// under hub churn; Bloom sketch false positives must cost only extra
-// resamples (never wrong scores), and the Session/pool/dispatcher apply
-// paths must reject typed and stay bitwise identical across pool sizes.
+// under hub churn; SampleLedger's distance test must mark dirty exactly
+// the pairs whose shortest-path set a batch changed (checked against
+// brute-force all-pairs BFS), every live record must stay a shortest path
+// across stacked batches, and the Session/pool/dispatcher apply paths
+// must reject typed and stay bitwise identical across pool sizes.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -14,7 +16,10 @@
 #include <chrono>
 #include <cmath>
 #include <cstdint>
+#include <limits>
 #include <memory>
+#include <optional>
+#include <string>
 #include <thread>
 #include <vector>
 
@@ -27,6 +32,9 @@
 #include "dynamic/mutable_graph.hpp"
 #include "gen/barabasi_albert.hpp"
 #include "gen/erdos_renyi.hpp"
+#include "gen/road.hpp"
+#include "graph/bfs.hpp"
+#include "graph/bidirectional_bfs.hpp"
 #include "graph/builder.hpp"
 #include "graph/components.hpp"
 #include "graph/diameter.hpp"
@@ -49,18 +57,6 @@ bc::KadabraParams churn_params(double epsilon = 0.1) {
   params.seed = 0x5eed;
   params.exact_diameter = true;
   return params;
-}
-
-dynamic::SketchParams exact_sketch() {
-  dynamic::SketchParams sketch;
-  sketch.exact_cap = 1u << 20;  // every record stays an exact sorted list
-  return sketch;
-}
-
-dynamic::SketchParams bloom_sketch() {
-  dynamic::SketchParams sketch;
-  sketch.exact_cap = 0;  // every record falls back to a Bloom filter
-  return sketch;
 }
 
 /// First missing edge (u, v) with u < v and u >= `from`.
@@ -215,8 +211,7 @@ TEST(MutableGraph, ServesInPlaceRebuildOnOverflowAndRevertsExactly) {
 
 TEST(IncrementalBc, CleanSamplesSurviveChurn) {
   const auto initial = std::make_shared<const graph::Graph>(churn_graph());
-  dynamic::IncrementalBc engine(churn_params(), exact_sketch(),
-                                /*sample_batch=*/8);
+  dynamic::IncrementalBc engine(churn_params(), /*sample_batch=*/8);
   engine.run(initial);
   ASSERT_TRUE(engine.ran());
   const std::uint64_t samples0 = engine.samples();
@@ -254,7 +249,7 @@ TEST(IncrementalBc, RunPlusRefreshSequencesReplayBitwise) {
 
   const auto replay = [&] {
     dynamic::MutableGraph mutable_graph(initial);
-    dynamic::IncrementalBc engine(churn_params(), exact_sketch(), 8);
+    dynamic::IncrementalBc engine(churn_params(), 8);
     engine.run(initial);
     dynamic::EdgeBatch first;
     first.insert(added.u, added.v);
@@ -286,7 +281,7 @@ TEST(IncrementalBc, RunPlusRefreshSequencesReplayBitwise) {
 
 TEST(IncrementalBc, RecalibratesOnlyWhenTheBoundIsViolated) {
   const auto initial = std::make_shared<const graph::Graph>(churn_graph());
-  dynamic::IncrementalBc engine(churn_params(), exact_sketch(), 8);
+  dynamic::IncrementalBc engine(churn_params(), 8);
   engine.run(initial);
   const std::uint32_t vd0 = engine.vertex_diameter();
   const std::uint64_t omega0 = engine.context().omega;
@@ -322,78 +317,313 @@ TEST(IncrementalBc, RecalibratesOnlyWhenTheBoundIsViolated) {
   EXPECT_EQ(engine.samples(), engine.ledger().size());
 }
 
-// --- Bloom-sketch property: false positives never change scores ---------------
+// --- SampleLedger: the exact dirty rule --------------------------------------
 
-TEST(SampleLedger, BloomFalsePositivesOnlyCostExtraResamples) {
-  const auto initial = std::make_shared<const graph::Graph>(churn_graph(42));
-  const bc::KadabraParams params = churn_params(0.05);
-
-  dynamic::IncrementalBc exact_engine(params, exact_sketch(), 8);
-  dynamic::IncrementalBc bloom_engine(params, bloom_sketch(), 8);
-  exact_engine.run(initial);
-  bloom_engine.run(initial);
-  EXPECT_EQ(bloom_engine.ledger().bloom_sketches(),
-            bloom_engine.ledger().size());
-  EXPECT_EQ(exact_engine.ledger().bloom_sketches(), 0u);
-
-  // Random churn: every round inserts fresh random edges, later rounds
-  // also delete edges inserted earlier (connectivity is preserved by
-  // construction - the original edges never leave).
-  Rng rng(1234);
-  dynamic::MutableGraph mutable_graph(initial);
-  std::vector<dynamic::Edge> inserted;
-  std::uint64_t exact_dirty = 0;
-  std::uint64_t bloom_dirty = 0;
-  for (int round = 0; round < 4; ++round) {
-    dynamic::EdgeBatch batch = random_insert_batch(
-        *mutable_graph.snapshot(), /*count=*/3, rng, &inserted);
-    bool deletes = false;
-    if (round >= 2) {
-      const dynamic::Edge victim = inserted.front();
-      inserted.erase(inserted.begin());
-      batch.remove(victim.u, victim.v);
-      deletes = true;
+/// Brute-force all-pairs BFS distances and shortest-path counts.
+struct AllPairs {
+  explicit AllPairs(const graph::Graph& graph)
+      : n(graph.num_vertices()),
+        dist(std::size_t{n} * n, graph::kUnreachable),
+        sigma(std::size_t{n} * n, 0.0) {
+    std::vector<graph::Vertex> queue;
+    for (graph::Vertex s = 0; s < n; ++s) {
+      std::uint32_t* d = &dist[std::size_t{s} * n];
+      double* paths = &sigma[std::size_t{s} * n];
+      d[s] = 0;
+      paths[s] = 1.0;
+      queue.assign(1, s);
+      for (std::size_t head = 0; head < queue.size(); ++head) {
+        const graph::Vertex u = queue[head];
+        for (const graph::Vertex w : graph.neighbors(u)) {
+          if (d[w] == graph::kUnreachable) {
+            d[w] = d[u] + 1;
+            queue.push_back(w);
+          }
+          if (d[w] == d[u] + 1) paths[w] += paths[u];
+        }
+      }
     }
-    ASSERT_TRUE(batch.validate(*mutable_graph.snapshot()).ok);
-    mutable_graph.apply(batch);
-    ASSERT_TRUE(graph::is_connected(*mutable_graph.snapshot()));
+  }
+
+  [[nodiscard]] std::uint32_t d(graph::Vertex a, graph::Vertex b) const {
+    return dist[std::size_t{a} * n + b];
+  }
+  [[nodiscard]] double paths(graph::Vertex a, graph::Vertex b) const {
+    return sigma[std::size_t{a} * n + b];
+  }
+  /// Whether `edge` (present in this graph) lies on a shortest s-t path.
+  [[nodiscard]] bool on_shortest_path(const dynamic::Edge& edge,
+                                      graph::Vertex s, graph::Vertex t) const {
+    const std::uint64_t st = d(s, t);
+    return std::uint64_t{d(s, edge.u)} + 1 + d(edge.v, t) == st ||
+           std::uint64_t{d(s, edge.v)} + 1 + d(edge.u, t) == st;
+  }
+
+  graph::Vertex n;
+  std::vector<std::uint32_t> dist;
+  std::vector<double> sigma;
+};
+
+/// A random present edge of `graph` (deterministic in `rng`).
+dynamic::Edge random_present_edge(const graph::Graph& graph, Rng& rng) {
+  while (true) {
+    const auto u = static_cast<graph::Vertex>(
+        rng.next_bounded(graph.num_vertices()));
+    const std::span<const graph::Vertex> nbrs = graph.neighbors(u);
+    if (nbrs.empty()) continue;
+    const graph::Vertex v = nbrs[rng.next_bounded(nbrs.size())];
+    return {std::min(u, v), std::max(u, v)};
+  }
+}
+
+/// Applies a random connected-preserving mixed batch to `graph`: 1-3
+/// random inserts, one deleted original edge, and (when there is one)
+/// one deleted earlier insert. `inserted` tracks the present inserts.
+dynamic::EdgeBatch apply_random_mixed_batch(
+    dynamic::MutableGraph& graph, Rng& rng,
+    std::vector<dynamic::Edge>& inserted) {
+  while (true) {
+    const graph::Graph& current = *graph.snapshot();
+    std::vector<dynamic::Edge> scratch = inserted;
+    const auto count = static_cast<int>(1 + rng.next_bounded(3));
+    dynamic::EdgeBatch batch =
+        random_insert_batch(current, count, rng, &scratch);
+    std::vector<dynamic::Edge> deleted;
+    dynamic::Edge original = random_present_edge(current, rng);
+    while (std::find(inserted.begin(), inserted.end(), original) !=
+           inserted.end())
+      original = random_present_edge(current, rng);
+    deleted.push_back(original);
+    if (!inserted.empty())
+      deleted.push_back(inserted[rng.next_bounded(inserted.size())]);
+    for (const dynamic::Edge& edge : deleted) batch.remove(edge.u, edge.v);
+    EXPECT_TRUE(batch.validate(current).ok);
+    graph.apply(batch);
+    if (!graph::is_connected(*graph.snapshot())) {
+      graph.revert(batch);
+      continue;
+    }
+    for (const dynamic::Edge& edge : batch.deletes())
+      std::erase(inserted, edge);
+    inserted.insert(inserted.end(), batch.inserts().begin(),
+                    batch.inserts().end());
+    return batch;
+  }
+}
+
+TEST(SampleLedger, ExactRuleMarksDirtyExactlyThePairsWhosePathsChanged) {
+  gen::RoadParams road;
+  road.width = 12;
+  road.height = 6;
+  road.keep = 0.85;
+  const std::vector<graph::Graph> graphs = {
+      graph::largest_component(gen::erdos_renyi(60, 150, 3)),
+      gen::barabasi_albert(70, 2, 5), gen::road(road, 9)};
+  for (std::size_t gi = 0; gi < graphs.size(); ++gi) {
+    SCOPED_TRACE("graph " + std::to_string(gi));
+    const auto initial = std::make_shared<const graph::Graph>(graphs[gi]);
+    const graph::Vertex n = initial->num_vertices();
+    ASSERT_TRUE(graph::is_connected(*initial));
+
+    // One record per ordered pair, each a real drawn shortest path.
+    Rng rng(100 + gi);
+    graph::BidirectionalBfs bibfs(n);
+    std::vector<graph::Vertex> path;
+    const auto draw = [&](const graph::Graph& graph, graph::Vertex s,
+                          graph::Vertex t) {
+      path.clear();
+      const bool connected = bibfs.run(graph, s, t).connected;
+      if (connected) bibfs.sample_path(graph, rng, path);
+      return connected;
+    };
+    dynamic::SampleLedger ledger;
+    for (graph::Vertex s = 0; s < n; ++s) {
+      for (graph::Vertex t = 0; t < n; ++t) {
+        if (s == t) continue;
+        const bool connected = draw(*initial, s, t);
+        ledger.record(s, t, connected, path);
+      }
+    }
+
+    dynamic::MutableGraph mutable_graph(initial);
+    std::vector<dynamic::Edge> inserted;
+    std::uint64_t total_dirty = 0;
+    for (int round = 0; round < 6; ++round) {
+      SCOPED_TRACE("round " + std::to_string(round));
+      const std::shared_ptr<const graph::Graph> before_graph =
+          mutable_graph.snapshot();
+      const dynamic::EdgeBatch batch =
+          apply_random_mixed_batch(mutable_graph, rng, inserted);
+      const std::shared_ptr<const graph::Graph> after_graph =
+          mutable_graph.snapshot();
+      const AllPairs before(*before_graph);
+      const AllPairs after(*after_graph);
+
+      const std::optional<std::vector<std::uint32_t>> classified =
+          ledger.classify(*before_graph, *after_graph, batch,
+                          std::numeric_limits<double>::infinity());
+      ASSERT_TRUE(classified.has_value());
+      const std::vector<std::uint32_t>& dirty = *classified;
+      std::vector<std::uint32_t> changed;
+      for (std::uint32_t i = 0; i < ledger.size(); ++i) {
+        const graph::Vertex s = ledger.source(i);
+        const graph::Vertex t = ledger.target(i);
+        ASSERT_EQ(ledger.distance(i), before.d(s, t));
+        const bool path_set_changed =
+            std::ranges::any_of(batch.deletes(),
+                                [&](const dynamic::Edge& edge) {
+                                  return before.on_shortest_path(edge, s, t);
+                                }) ||
+            std::ranges::any_of(batch.inserts(),
+                                [&](const dynamic::Edge& edge) {
+                                  return after.on_shortest_path(edge, s, t);
+                                });
+        if (path_set_changed) changed.push_back(i);
+        if (before.d(s, t) != after.d(s, t) ||
+            before.paths(s, t) != after.paths(s, t)) {
+          EXPECT_TRUE(std::ranges::binary_search(dirty, i))
+              << "pair " << s << "-" << t << " changed d or sigma";
+        }
+      }
+      EXPECT_EQ(dirty, changed);
+      total_dirty += dirty.size();
+
+      // Redraw the dirty records on the new graph, as a refresh would.
+      for (const std::uint32_t i : dirty) {
+        const graph::Vertex s = ledger.source(i);
+        const graph::Vertex t = ledger.target(i);
+        const bool connected = draw(*after_graph, s, t);
+        ledger.replace(i, connected, path);
+      }
+    }
+    // Non-trivial: some pairs changed, most did not.
+    EXPECT_GT(total_dirty, 0u);
+    EXPECT_LT(total_dirty, 6 * ledger.size() / 2);
+  }
+}
+
+TEST(IncrementalBc, LedgerRecordsStayShortestPathsAcrossStackedBatches) {
+  gen::RoadParams road;
+  road.width = 16;
+  road.height = 8;
+  road.keep = 0.9;
+  const auto initial =
+      std::make_shared<const graph::Graph>(gen::road(road, 21));
+  dynamic::IncrementalBc engine(churn_params(), 8);
+  engine.run(initial);
+  dynamic::MutableGraph mutable_graph(initial);
+
+  // A shortcut between two peripheral vertices pulls far regions of many
+  // kept samples closer; a later batch deletes it again.
+  const std::vector<std::uint32_t> from_zero =
+      graph::bfs_distances(*initial, 0);
+  const auto a = static_cast<graph::Vertex>(
+      std::ranges::max_element(from_zero) - from_zero.begin());
+  const std::vector<std::uint32_t> from_a = graph::bfs_distances(*initial, a);
+  const auto b = static_cast<graph::Vertex>(
+      std::ranges::max_element(from_a) - from_a.begin());
+  ASSERT_GT(from_a[b], 4u);
+  const dynamic::Edge shortcut{std::min(a, b), std::max(a, b)};
+
+  Rng rng(31);
+  std::vector<dynamic::Edge> inserted;
+  for (int round = 0; round < 10; ++round) {
+    SCOPED_TRACE("round " + std::to_string(round));
+    dynamic::EdgeBatch batch;
+    if (round == 0 || round == 5) {
+      if (round == 0) {
+        batch.insert(shortcut.u, shortcut.v);
+      } else {
+        batch.remove(shortcut.u, shortcut.v);
+      }
+      ASSERT_TRUE(batch.validate(*mutable_graph.snapshot()).ok);
+      mutable_graph.apply(batch);
+      ASSERT_TRUE(graph::is_connected(*mutable_graph.snapshot()));
+    } else {
+      // Random churn that never deletes the shortcut itself.
+      while (true) {
+        std::vector<dynamic::Edge> others = inserted;
+        batch = apply_random_mixed_batch(mutable_graph, rng, others);
+        if (std::ranges::find(batch.deletes(), shortcut) ==
+            batch.deletes().end()) {
+          inserted = std::move(others);
+          break;
+        }
+        mutable_graph.revert(batch);
+      }
+    }
+    const graph::Graph& current = *mutable_graph.snapshot();
     const std::uint32_t bound =
-        deletes ? graph::vertex_diameter(*mutable_graph.snapshot(), true).value
-                : 0;
-    const auto exact_stats =
-        exact_engine.refresh(mutable_graph.snapshot(), batch, bound);
-    const auto bloom_stats =
-        bloom_engine.refresh(mutable_graph.snapshot(), batch, bound);
-    exact_dirty += exact_stats.dirty;
-    bloom_dirty += bloom_stats.dirty;
-    EXPECT_EQ(exact_stats.bloom_dirty, 0u);
-  }
+        batch.deletes().empty()
+            ? 0
+            : graph::vertex_diameter(current, /*ifub=*/true).value;
+    const auto stats =
+        engine.refresh(mutable_graph.snapshot(), batch, bound);
+    EXPECT_FALSE(stats.full_redraw);
+    if (round == 0 || round == 5) {
+      EXPECT_GT(stats.dirty, 0u);
+    }
+    EXPECT_EQ(engine.ledger().size(), engine.samples());
 
-  // False positives can only ADD dirty verdicts...
-  EXPECT_GE(bloom_dirty, exact_dirty);
-
-  // ...and every extra verdict costs one resample, never a wrong score:
-  // both estimators agree with a from-scratch run on the final snapshot
-  // within the KADABRA error budget.
-  dynamic::IncrementalBc reference(params, exact_sketch(), 8);
-  reference.run(mutable_graph.snapshot());
-  const std::vector<double> ref = reference.scores();
-  for (const auto* engine : {&exact_engine, &bloom_engine}) {
-    const std::vector<double> scores = engine->scores();
-    ASSERT_EQ(scores.size(), ref.size());
-    for (std::size_t v = 0; v < ref.size(); ++v)
-      EXPECT_NEAR(scores[v], ref[v], 3 * params.epsilon) << "vertex " << v;
-    // Statistical contract: the estimator is an average over exactly
-    // ledger-many samples.
-    EXPECT_EQ(engine->samples(), engine->ledger().size());
+    const AllPairs distances(current);
+    const dynamic::SampleLedger& ledger = engine.ledger();
+    for (std::size_t i = 0; i < ledger.size(); ++i) {
+      const graph::Vertex s = ledger.source(i);
+      const graph::Vertex t = ledger.target(i);
+      graph::Vertex previous = s;
+      for (const graph::Vertex v : ledger.path(i)) {
+        ASSERT_TRUE(current.has_edge(previous, v)) << "record " << i;
+        previous = v;
+      }
+      ASSERT_TRUE(current.has_edge(previous, t)) << "record " << i;
+      ASSERT_EQ(ledger.path(i).size() + 1, distances.d(s, t))
+          << "record " << i;
+      ASSERT_EQ(ledger.distance(i), distances.d(s, t)) << "record " << i;
+    }
   }
+}
+
+TEST(IncrementalBc, LargeBatchesFallBackToAFullRedraw) {
+  const auto initial = std::make_shared<const graph::Graph>(
+      graph::largest_component(gen::erdos_renyi(500, 1500, 17)));
+  const bc::KadabraParams params = churn_params();
+  dynamic::IncrementalBc engine(params, 8);
+  engine.run(initial);
+  dynamic::MutableGraph mutable_graph(initial);
+  Rng rng(5);
+  std::vector<dynamic::Edge> inserted;
+
+  // A small batch pays for its BFS runs...
+  dynamic::EdgeBatch small = random_insert_batch(*initial, 1, rng, &inserted);
+  ASSERT_TRUE(small.validate(*initial).ok);
+  mutable_graph.apply(small);
+  EXPECT_FALSE(engine.refresh(mutable_graph.snapshot(), small, 0).full_redraw);
+
+  // ...one touching most vertices does not: every sample is redrawn.
+  dynamic::EdgeBatch large = random_insert_batch(
+      *mutable_graph.snapshot(), 300, rng, &inserted);
+  ASSERT_TRUE(large.validate(*mutable_graph.snapshot()).ok);
+  mutable_graph.apply(large);
+  const std::size_t ledger_size = engine.ledger().size();
+  const auto stats = engine.refresh(mutable_graph.snapshot(), large, 0);
+  EXPECT_TRUE(stats.full_redraw);
+  EXPECT_EQ(stats.dirty, ledger_size);
+  EXPECT_EQ(stats.retained, 0u);
+  EXPECT_EQ(engine.ledger().size(), engine.samples());
+
+  const std::vector<double> exact =
+      bc::brandes(*mutable_graph.snapshot()).scores;
+  const std::vector<double> scores = engine.scores();
+  ASSERT_EQ(scores.size(), exact.size());
+  for (std::size_t v = 0; v < exact.size(); ++v)
+    EXPECT_LE(std::abs(scores[v] - exact[v]), params.epsilon) << "vertex " << v;
 }
 
 // --- DynamicState --------------------------------------------------------------
 
 TEST(DynamicState, RejectsBadBatchesTransactionally) {
   const auto initial = std::make_shared<const graph::Graph>(churn_graph());
-  dynamic::DynamicState state(initial, exact_sketch(), 8);
+  dynamic::DynamicState state(initial, 8);
   const std::uint64_t fp0 = state.fingerprint();
 
   EXPECT_FALSE(state.apply(dynamic::EdgeBatch{}).status.ok);  // empty
@@ -432,7 +662,7 @@ TEST(DynamicState, RejectsBadBatchesTransactionally) {
 
 TEST(DynamicState, RefreshAccountingCoversEveryRetainedSample) {
   const auto initial = std::make_shared<const graph::Graph>(churn_graph());
-  dynamic::DynamicState state(initial, exact_sketch(), 8);
+  dynamic::DynamicState state(initial, 8);
 
   const auto first = state.query(churn_params());
   ASSERT_TRUE(first.status.ok);
@@ -462,7 +692,7 @@ TEST(DynamicState, RefreshAccountingCoversEveryRetainedSample) {
 struct RecomputingTwin {
   RecomputingTwin(const std::shared_ptr<const graph::Graph>& initial,
                   const bc::KadabraParams& params)
-      : graph(initial), engine(params, exact_sketch(), 8) {
+      : graph(initial), engine(params, 8) {
     engine.run(initial);
   }
 
@@ -498,7 +728,7 @@ void expect_matches_twin(dynamic::DynamicState& state,
 
 TEST(DynamicState, CoveredDeletionsSkipTheRecomputeAndMatchTheTwin) {
   const auto initial = std::make_shared<const graph::Graph>(churn_graph());
-  dynamic::DynamicState state(initial, exact_sketch(), 8);
+  dynamic::DynamicState state(initial, 8);
   ASSERT_TRUE(state.query(churn_params()).first_run);  // proves the bound
   RecomputingTwin twin(initial, churn_params());
 
@@ -523,7 +753,7 @@ TEST(DynamicState, CoveredDeletionsSkipTheRecomputeAndMatchTheTwin) {
 
 TEST(DynamicState, DeletingAProvenEdgeRecomputesAndReproves) {
   const auto initial = std::make_shared<const graph::Graph>(churn_graph());
-  dynamic::DynamicState state(initial, exact_sketch(), 8);
+  dynamic::DynamicState state(initial, 8);
   ASSERT_TRUE(state.query(churn_params()).first_run);
   RecomputingTwin twin(initial, churn_params());
   const auto apply_both = [&](const dynamic::EdgeBatch& batch) {
@@ -556,7 +786,7 @@ TEST(DynamicState, DeletingAProvenEdgeRecomputesAndReproves) {
 
 TEST(DynamicState, DisconnectingBatchOnAProvenEdgeIsStillRejected) {
   const auto initial = std::make_shared<const graph::Graph>(churn_graph());
-  dynamic::DynamicState state(initial, exact_sketch(), 8);
+  dynamic::DynamicState state(initial, 8);
   ASSERT_TRUE(state.query(churn_params()).first_run);
 
   graph::Vertex loner = 0;
@@ -675,6 +905,7 @@ TEST(SessionApply, HubChurnStaysWithinEpsilonOfBrandes) {
                     });
   Rng rng(13);
   std::vector<dynamic::Edge> previous;
+  double dirty_fraction_sum = 0.0;
   for (int round = 0; round < 8; ++round) {
     const graph::Graph& current = session.graph();
     dynamic::EdgeBatch batch;
@@ -696,6 +927,10 @@ TEST(SessionApply, HubChurnStaysWithinEpsilonOfBrandes) {
     // Every deletion removes the previous round's inserts, made after the
     // first run proved the diameter bound: no batch recomputes it.
     EXPECT_EQ(report.diameter_bfs, 0u) << round;
+    // Only samples whose shortest-path set the batch changed are redrawn:
+    // 1.6-5.2% per round here.
+    EXPECT_LT(report.dirty_fraction(), 0.1) << round;
+    dirty_fraction_sum += report.dirty_fraction();
     previous = added;
 
     const api::Result result = session.run(query);
@@ -707,6 +942,7 @@ TEST(SessionApply, HubChurnStaysWithinEpsilonOfBrandes) {
       max_error = std::max(max_error, std::abs(result.scores[v] - exact[v]));
     EXPECT_LE(max_error, query.epsilon) << "round " << round;
   }
+  EXPECT_LT(dirty_fraction_sum / 8, 0.05);
 }
 
 TEST(SessionApply, WarmStatesBelowTheProofsBucketReadTheNewGraphsBound) {

@@ -109,8 +109,6 @@ int main(int argc, char** argv) {
       config.options.get_double("eps", 0.05, "KADABRA epsilon");
   const int batches = static_cast<int>(
       config.options.get_u64("batches", 5, "churn batches per rate"));
-  const int sample_batch = static_cast<int>(
-      config.options.get_u64("sample_batch", 16, "traversal-kernel width"));
   config.finish(
       "Incremental betweenness vs full recompute under edge churn");
   bench::print_preamble("churn ablation (incremental vs full recompute)",
@@ -161,7 +159,7 @@ int main(int argc, char** argv) {
     // --- Incremental: one engine, refresh per batch --------------------
     // The initial build is shared setup, not churn cost: the timer starts
     // once it is done, so the arm times only the per-batch applies.
-    dynamic::DynamicState state(initial, sample_batch);
+    dynamic::DynamicState state(initial);
     (void)state.query(params);
     const WallTimer incremental_timer;
     std::uint64_t dirty = 0, retained = 0, resampled = 0, topup = 0,
@@ -194,7 +192,7 @@ int main(int argc, char** argv) {
       dynamic::MutableGraph replay(initial);
       for (const dynamic::EdgeBatch& batch : sequence) {
         replay.apply(batch);
-        dynamic::IncrementalBc fresh(params, sample_batch);
+        dynamic::IncrementalBc fresh(params);
         fresh.run(replay.snapshot());
         full_draws += fresh.next_stream();
       }

@@ -3,12 +3,13 @@
 // adaptive sampling phase scales linearly: almost all communication is
 // hidden behind sampling.
 //
-// Second section: the batched traversal kernel. One thread samples a
-// Barabasi-Albert proxy through the scalar PathSampler and through
-// bc::BatchSampler at each batch width; the headline number is the batched
-// samples/sec multiple over scalar at the default shape (|V| = 200k,
-// degree 8). Batch width 1 is also checked bitwise against the scalar
-// sampler - the deterministic counter the CI regression gate keys on.
+// Second section: the sampling kernel. One thread samples a
+// Barabasi-Albert proxy (default |V| = 200k, degree 8) through
+// bc::PathSampler: one stream alone, then four interleaved streams with a
+// private traversal kernel each and with one kernel shared by all four
+// (the engine's layout for a thread's virtual streams). The shared-kernel
+// frame is checked bitwise against the private-kernel one - the
+// deterministic counter the CI regression gate keys on.
 //
 // --json / out= emit a machine-readable snapshot: wall-clock rates (named
 // *_rate / *speedup*, skipped by ci/compare_bench.py) plus deterministic
@@ -16,7 +17,6 @@
 // are machine independent and gated against bench/baselines/.
 #include "bench_common.hpp"
 
-#include "bc/batch_sampler.hpp"
 #include "bc/sampler.hpp"
 #include "epoch/state_frame.hpp"
 #include "gen/barabasi_albert.hpp"
@@ -37,11 +37,11 @@ int main(int argc, char** argv) {
   using namespace distbc;
   bench::BenchConfig config(argc, argv);
   const std::uint64_t batch_vertices = config.options.get_u64(
-      "batch_n", 200000, "BA vertices of the batched-kernel section");
+      "batch_n", 200000, "BA vertices of the sampling-kernel section");
   const std::uint64_t batch_samples = config.options.get_u64(
-      "batch_samples", 4000, "samples per width in the batched section");
+      "batch_samples", 4000, "samples per layout in the kernel section");
   const std::uint64_t batch_reps = config.options.get_u64(
-      "batch_reps", 5, "interleaved repetitions per width (median taken)");
+      "batch_reps", 5, "interleaved repetitions per layout (median taken)");
   config.finish("Figure 3b: sampling rate.");
   bench::print_preamble(
       "Figure 3b - samples/(time * P) during adaptive sampling",
@@ -91,10 +91,13 @@ int main(int argc, char** argv) {
               "(600-1000 samples/(s*node)\non their hardware; absolute "
               "values differ on this substrate).\n");
 
-  // --- Batched traversal kernel (graph::BatchedBidirectionalBfs) -----------
-  std::printf("\n=== Batched traversal kernel - single-thread sampling rate "
-              "===\nBA graph: %llu vertices, degree 8, seed %llu; %llu "
-              "samples per width,\nmedian of %llu interleaved reps.\n\n",
+  // --- Sampling kernel (graph::BidirectionalBfs) ----------------------------
+  constexpr std::uint64_t kStreams = 4;
+  const std::uint64_t per_stream =
+      std::max<std::uint64_t>(1, batch_samples / kStreams);
+  std::printf("\n=== Sampling kernel - single-thread sampling rate ===\n"
+              "BA graph: %llu vertices, degree 8, seed %llu; %llu samples "
+              "per layout,\nmedian of %llu interleaved reps.\n\n",
               static_cast<unsigned long long>(batch_vertices),
               static_cast<unsigned long long>(config.seed),
               static_cast<unsigned long long>(batch_samples),
@@ -102,84 +105,96 @@ int main(int argc, char** argv) {
   const graph::Graph ba = gen::barabasi_albert(
       static_cast<graph::Vertex>(batch_vertices), 8, config.seed);
   const graph::Vertex n = ba.num_vertices();
-  const std::vector<int> widths = {1, 2, 4, 8, 16, 32};
 
-  // Interleaved timing: scalar and every width measured once per rep, so
-  // machine noise hits all configurations alike; per config the median
-  // rep counts. Every rep re-creates the sampler with the same stream, so
-  // the sample set per configuration is fixed.
-  std::vector<double> scalar_times;
-  std::vector<std::vector<double>> width_times(widths.size());
-  epoch::StateFrame scalar_frame(n);
-  std::vector<epoch::StateFrame> width_frames(widths.size(),
-                                              epoch::StateFrame(n));
+  // Round-robin over the streams, one sample each per round - the order
+  // in which a thread's streams would contend for a kernel's cache lines.
+  auto sample_streams = [&](std::vector<bc::PathSampler>& samplers,
+                            epoch::StateFrame& frame) {
+    for (std::uint64_t i = 0; i < per_stream; ++i)
+      for (bc::PathSampler& sampler : samplers) sampler.sample(frame);
+  };
+  auto make_samplers = [&](bool shared) {
+    const auto kernel =
+        shared ? std::make_shared<graph::BidirectionalBfs>(n) : nullptr;
+    std::vector<bc::PathSampler> samplers;
+    for (std::uint64_t v = 0; v < kStreams; ++v) {
+      const Rng rng = Rng(config.seed).split(v);
+      if (shared)
+        samplers.emplace_back(ba, rng, kernel);
+      else
+        samplers.emplace_back(ba, rng);
+    }
+    return samplers;
+  };
+
+  // Interleaved timing: every layout is measured once per rep, so machine
+  // noise hits all of them alike; per layout the median rep counts. Every
+  // rep re-creates the samplers with the same streams, so the sample set
+  // per layout is fixed.
+  std::vector<double> single_times;
+  std::vector<double> private_times;
+  std::vector<double> shared_times;
+  epoch::StateFrame single_frame(n);
+  epoch::StateFrame private_frame(n);
+  epoch::StateFrame shared_frame(n);
   for (std::uint64_t rep = 0; rep < batch_reps; ++rep) {
     {
-      scalar_frame.clear();
+      single_frame.clear();
       bc::PathSampler sampler(ba, Rng(config.seed).split(0));
       WallTimer timer;
       for (std::uint64_t i = 0; i < batch_samples; ++i)
-        sampler.sample(scalar_frame);
-      scalar_times.push_back(timer.elapsed_s());
+        sampler.sample(single_frame);
+      single_times.push_back(timer.elapsed_s());
     }
-    for (std::size_t w = 0; w < widths.size(); ++w) {
-      width_frames[w].clear();
-      bc::BatchSampler sampler(ba, Rng(config.seed).split(0), widths[w]);
+    for (const bool shared : {false, true}) {
+      epoch::StateFrame& frame = shared ? shared_frame : private_frame;
+      frame.clear();
+      auto samplers = make_samplers(shared);
       WallTimer timer;
-      sampler.sample_batch(width_frames[w], batch_samples);
-      width_times[w].push_back(timer.elapsed_s());
+      sample_streams(samplers, frame);
+      (shared ? shared_times : private_times).push_back(timer.elapsed_s());
     }
   }
 
-  const double scalar_rate =
-      static_cast<double>(batch_samples) / median(scalar_times);
-  // Deterministic counters: batch width 1 replays the scalar RNG sequence
-  // exactly, so its frame must be bitwise identical to the scalar one;
-  // every width must account every sample in tau.
-  bool identical_b1 = true;
-  for (std::size_t i = 0; i < scalar_frame.raw().size(); ++i)
-    identical_b1 &= scalar_frame.raw()[i] == width_frames[0].raw()[i];
-  bool tau_ok = scalar_frame.tau() == batch_samples;
-  for (const auto& frame : width_frames)
-    tau_ok &= frame.tau() == batch_samples;
+  // Deterministic counters: sharing one kernel across interleaved streams
+  // must not change a single draw, so the two frames are bitwise
+  // identical; every layout must account every sample in tau.
+  const bool identical_shared =
+      std::equal(private_frame.raw().begin(), private_frame.raw().end(),
+                 shared_frame.raw().begin(), shared_frame.raw().end());
+  const bool tau_ok = single_frame.tau() == batch_samples &&
+                      private_frame.tau() == kStreams * per_stream &&
+                      shared_frame.tau() == kStreams * per_stream;
 
-  TablePrinter batch_table(
-      {"sampler", "samples/s", "vs scalar", "count_sum"});
-  batch_table.add_row({"scalar", TablePrinter::fmt(scalar_rate, 0), "1.00x",
-                       std::to_string(scalar_frame.count_sum())});
-  double best_speedup = 0.0;
-  double speedup_b8 = 0.0;
-  for (std::size_t w = 0; w < widths.size(); ++w) {
-    const double rate =
-        static_cast<double>(batch_samples) / median(width_times[w]);
-    const double speedup = rate / scalar_rate;
-    best_speedup = std::max(best_speedup, speedup);
-    if (widths[w] == 8) speedup_b8 = speedup;
-    batch_table.add_row({"batch B=" + std::to_string(widths[w]),
-                         TablePrinter::fmt(rate, 0),
-                         TablePrinter::fmt(speedup, 2) + "x",
-                         std::to_string(width_frames[w].count_sum())});
-    json.begin_row();
-    json.field("section", "batch_kernel");
-    json.field("batch", static_cast<double>(widths[w]));
-    json.field("samples_per_sec_rate", rate);
-    json.field("speedup_vs_scalar", speedup);
-    json.field("count_sum", static_cast<double>(width_frames[w].count_sum()));
-  }
-  batch_table.print();
-  std::printf("\nbatch=1 bitwise identical to scalar: %s; tau accounting: "
-              "%s\n(fused two-side visit records + folded intersection + "
-              "cached frontier volumes\n- same algorithm, leaner memory "
-              "traffic; see graph/batched_bidirectional_bfs.hpp)\n",
-              identical_b1 ? "YES" : "NO", tau_ok ? "exact" : "BROKEN");
+  const double single_rate =
+      static_cast<double>(batch_samples) / median(single_times);
+  const double private_rate = static_cast<double>(kStreams * per_stream) /
+                              median(private_times);
+  const double shared_rate = static_cast<double>(kStreams * per_stream) /
+                             median(shared_times);
+  TablePrinter kernel_table({"layout", "samples/s", "count_sum"});
+  kernel_table.add_row({"1 stream", TablePrinter::fmt(single_rate, 0),
+                        std::to_string(single_frame.count_sum())});
+  kernel_table.add_row({"4 streams, private kernels",
+                        TablePrinter::fmt(private_rate, 0),
+                        std::to_string(private_frame.count_sum())});
+  kernel_table.add_row({"4 streams, one shared kernel",
+                        TablePrinter::fmt(shared_rate, 0),
+                        std::to_string(shared_frame.count_sum())});
+  kernel_table.print();
+  std::printf("\nshared kernel bitwise identical to private kernels: %s; "
+              "tau accounting: %s\n(fused two-side visit records + folded "
+              "intersection + cached frontier volumes;\nsee "
+              "graph/bidirectional_bfs.hpp)\n",
+              identical_shared ? "YES" : "NO", tau_ok ? "exact" : "BROKEN");
 
-  json.summary("scalar_rate", scalar_rate);
-  json.summary("speedup_b8_rate", speedup_b8);
-  json.summary("best_speedup_rate", best_speedup);
+  json.summary("single_stream_rate", single_rate);
+  json.summary("private_kernels_rate", private_rate);
+  json.summary("shared_kernel_rate", shared_rate);
   json.summary("batch_samples", static_cast<double>(batch_samples));
   json.summary("batch_count_sum",
-               static_cast<double>(scalar_frame.count_sum()));
-  json.summary("batch1_bitwise_identical", identical_b1 ? 1.0 : 0.0);
+               static_cast<double>(single_frame.count_sum()));
+  json.summary("batch1_bitwise_identical", identical_shared ? 1.0 : 0.0);
   json.summary("batch_tau_ok", tau_ok ? 1.0 : 0.0);
   json.write();
   return 0;

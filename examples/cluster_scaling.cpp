@@ -8,7 +8,6 @@
 //   ./cluster_scaling [scale=13] [eps=0.005] [latency_us=2]
 //                     [frame_rep=dense|sparse|auto] [tree_radix=0|2|...]
 //                     [rpn=1] [leader_radix=0|2|...]
-//                     [sample_batch=1|8|...|0=auto]
 //                     [substrate=mpisim|ncclsim]
 #include <algorithm>
 #include <cstdio>
@@ -36,8 +35,6 @@ int main(int argc, char** argv) {
   options.describe("leader_radix",
                    "leader-tree fan-in of the two-level path "
                    "(0 = inherit tree_radix; needs rpn>1)");
-  options.describe("sample_batch",
-                   "samples per traversal batch (1 = scalar, 0 = auto)");
   options.describe("substrate",
                    "network preset the collectives are priced with "
                    "(mpisim|ncclsim)");
@@ -71,15 +68,12 @@ int main(int argc, char** argv) {
       static_cast<int>(options.get_u64("rpn", 1));
   const auto leader_radix =
       static_cast<int>(options.get_u64("leader_radix", 0));
-  const auto sample_batch =
-      static_cast<int>(options.get_u64("sample_batch", 1));
   std::printf("web proxy: %u vertices, %llu edges, frame_rep=%s, "
-              "tree_radix=%d, rpn=%d, leader_radix=%d, sample_batch=%d, "
-              "substrate=%s\n\n",
+              "tree_radix=%d, rpn=%d, leader_radix=%d, substrate=%s\n\n",
               graph->num_vertices(),
               static_cast<unsigned long long>(graph->num_edges()),
               epoch::frame_rep_name(frame_rep), tree_radix, ranks_per_node,
-              leader_radix, sample_batch, substrate_name.c_str());
+              leader_radix, substrate_name.c_str());
 
   mpisim::NetworkModel network;
   network.remote_latency_s = options.get_double("latency_us", 2.0) * 1e-6;
@@ -99,7 +93,6 @@ int main(int argc, char** argv) {
     config.tree_radix = tree_radix;
     config.hierarchical = config.ranks_per_node > 1;
     config.leader_radix = leader_radix;
-    config.sample_batch = sample_batch;
 
     api::Session session(graph, config);
     api::BetweennessQuery query;

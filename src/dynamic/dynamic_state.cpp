@@ -9,10 +9,8 @@
 
 namespace distbc::dynamic {
 
-DynamicState::DynamicState(std::shared_ptr<const graph::Graph> initial,
-                           int sample_batch)
-    : graph_(std::move(initial)),
-      sample_batch_(sample_batch > 0 ? sample_batch : 16) {}
+DynamicState::DynamicState(std::shared_ptr<const graph::Graph> initial)
+    : graph_(std::move(initial)) {}
 
 ApplyReport DynamicState::apply(EdgeBatch batch) {
   std::lock_guard<std::mutex> lock(mutex_);
@@ -104,7 +102,7 @@ DynamicState::QueryView DynamicState::query(const bc::KadabraParams& params) {
   QueryView view;
   auto& engine = engines_[engine_key(params)];
   if (engine == nullptr) {
-    engine = std::make_unique<IncrementalBc>(params, sample_batch_);
+    engine = std::make_unique<IncrementalBc>(params);
     engine->run(graph_.snapshot());
     // Phase 1's bound is a proof on the current snapshot. It replaces the
     // held one only in a lower bucket: an equal bucket changes no decision

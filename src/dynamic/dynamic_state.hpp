@@ -97,10 +97,7 @@ struct ApplyReport {
 
 class DynamicState {
  public:
-  /// `sample_batch` is the traversal-kernel width engines run at (values
-  /// <= 0 select 16). api::Session passes Config::sample_batch, which
-  /// defaults to 1, so a session's incremental engine runs one lane.
-  DynamicState(std::shared_ptr<const graph::Graph> initial, int sample_batch);
+  explicit DynamicState(std::shared_ptr<const graph::Graph> initial);
 
   /// Validates, applies, and propagates one batch through every live
   /// engine. On a rejected batch (validation failure, empty batch, or a
@@ -165,7 +162,6 @@ class DynamicState {
   MutableGraph graph_;
   Proof proof_;
   std::optional<VersionBound> version_bound_;
-  int sample_batch_;
   std::map<EngineKey, std::unique_ptr<IncrementalBc>> engines_;
 };
 

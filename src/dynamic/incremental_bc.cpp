@@ -22,76 +22,35 @@ void IncrementalBc::Recorder::on_sample(graph::Vertex s, graph::Vertex t,
   }
 }
 
-IncrementalBc::IncrementalBc(bc::KadabraParams params, int sample_batch)
-    : params_(params),
-      sample_batch_(std::clamp(sample_batch, 1,
-                               graph::BatchedBidirectionalBfs::kMaxBatch)) {}
+IncrementalBc::IncrementalBc(bc::KadabraParams params) : params_(params) {}
 
-void IncrementalBc::sample_chunk(std::span<const std::uint64_t> streams,
-                                 std::span<const std::uint32_t> slots,
-                                 epoch::StateFrame& frame, bool record) {
-  DISTBC_ASSERT(!streams.empty() &&
-                streams.size() <=
-                    static_cast<std::size_t>(kernel_->capacity()));
-  DISTBC_ASSERT(slots.empty() || slots.size() == streams.size());
-  // One single-sample BatchSampler per stream, all sharing the kernel: the
-  // cross-stream protocol (post ascending, one flush, finish ascending)
-  // keeps every stream's draw order independent of the kernel width.
-  std::vector<bc::BatchSampler> samplers;
-  samplers.reserve(streams.size());
-  const Rng root(params_.seed);
-  for (const std::uint64_t stream : streams)
-    samplers.emplace_back(*graph_, root.split(stream), kernel_);
-  for (bc::BatchSampler& sampler : samplers) {
-    const bool posted = sampler.post_sample();
-    DISTBC_ASSERT_MSG(posted, "chunk width exceeds the kernel batch");
-  }
-  samplers.front().flush_staged();
+void IncrementalBc::sample_one(std::uint64_t stream, std::int64_t slot,
+                               epoch::StateFrame& frame, bool record) {
+  bc::PathSampler sampler(*graph_, Rng(params_.seed).split(stream), kernel_);
   Recorder recorder;
-  recorder.ledger = &ledger_;
-  for (std::size_t i = 0; i < samplers.size(); ++i) {
-    recorder.replace_index =
-        slots.empty() ? -1 : static_cast<std::int64_t>(slots[i]);
-    if (record) samplers[i].set_observer(&recorder);
-    samplers[i].finish_sample(frame);
+  if (record) {
+    recorder.ledger = &ledger_;
+    recorder.replace_index = slot;
+    sampler.set_observer(&recorder);
   }
+  sampler.sample(frame);
   if (!record) return;
-  // Sampler i staged lane i of this chunk's fresh kernel batch.
-  draws_ += streams.size();
-  for (std::size_t i = 0; i < streams.size(); ++i)
-    draw_arcs_ += kernel_->lane_touched(static_cast<int>(i));
+  ++draws_;
+  draw_arcs_ += kernel_->last_touched();
 }
 
 void IncrementalBc::sample_fresh(std::uint64_t count, epoch::StateFrame& frame,
                                  bool record) {
-  std::vector<std::uint64_t> streams;
-  while (count > 0) {
-    const auto width = static_cast<std::size_t>(std::min<std::uint64_t>(
-        count, static_cast<std::uint64_t>(sample_batch_)));
-    streams.clear();
-    for (std::size_t i = 0; i < width; ++i)
-      streams.push_back(next_stream_ + i);
+  for (; count > 0; --count) {
     DISTBC_DEBUG_ASSERT(!record ||
                         next_stream_ == ledger_stream_ + ledger_.size());
-    sample_chunk(streams, {}, frame, record);
-    next_stream_ += width;
-    count -= width;
+    sample_one(next_stream_++, -1, frame, record);
   }
 }
 
 void IncrementalBc::resample_slots(std::span<const std::uint32_t> slots) {
-  std::vector<std::uint64_t> streams;
-  std::size_t done = 0;
-  while (done < slots.size()) {
-    const std::size_t width =
-        std::min(slots.size() - done, static_cast<std::size_t>(sample_batch_));
-    streams.clear();
-    for (std::size_t i = 0; i < width; ++i)
-      streams.push_back(ledger_stream_ + slots[done + i]);
-    sample_chunk(streams, slots.subspan(done, width), aggregate_,
-                 /*record=*/true);
-    done += width;
-  }
+  for (const std::uint32_t slot : slots)
+    sample_one(ledger_stream_ + slot, slot, aggregate_, /*record=*/true);
 }
 
 std::uint64_t IncrementalBc::adaptive_loop() {
@@ -115,8 +74,7 @@ std::uint64_t IncrementalBc::adaptive_loop() {
 void IncrementalBc::run(std::shared_ptr<const graph::Graph> graph) {
   DISTBC_ASSERT(graph != nullptr);
   graph_ = std::move(graph);
-  kernel_ = std::make_shared<graph::BatchedBidirectionalBfs>(*graph_,
-                                                             sample_batch_);
+  kernel_ = std::make_shared<graph::BidirectionalBfs>(graph_->num_vertices());
   ledger_.clear();
   draws_ = 0;
   draw_arcs_ = 0;
@@ -185,9 +143,8 @@ IncrementalBc::RefreshStats IncrementalBc::refresh(
     --raw[n];
   }
 
+  DISTBC_ASSERT(graph->num_vertices() == graph_->num_vertices());
   graph_ = std::move(graph);
-  kernel_ = std::make_shared<graph::BatchedBidirectionalBfs>(*graph_,
-                                                             sample_batch_);
   resample_slots(dirty);
   stats.resampled = dirty.size();
 

@@ -42,20 +42,19 @@
 #include <span>
 #include <vector>
 
-#include "bc/batch_sampler.hpp"
 #include "bc/kadabra_context.hpp"
+#include "bc/sampler.hpp"
 #include "dynamic/edge_batch.hpp"
 #include "dynamic/sample_ledger.hpp"
 #include "epoch/state_frame.hpp"
-#include "graph/batched_bidirectional_bfs.hpp"
+#include "graph/bidirectional_bfs.hpp"
 #include "graph/graph.hpp"
 
 namespace distbc::dynamic {
 
 class IncrementalBc {
  public:
-  /// `sample_batch` is the traversal-kernel width (clamped to [1, 64]).
-  IncrementalBc(bc::KadabraParams params, int sample_batch);
+  explicit IncrementalBc(bc::KadabraParams params);
 
   /// From-scratch run on `graph` (must be connected): phases 1-3, ledger
   /// rebuilt. Resets any previous state except the stream counter (streams
@@ -109,13 +108,11 @@ class IncrementalBc {
                    std::span<const graph::Vertex> path) override;
   };
 
-  /// One kernel-wide chunk: a fresh single-sample BatchSampler per stream,
-  /// cross-stream staged and finished in ascending order. `slots` (parallel
-  /// to `streams`) selects ledger replacement; empty = append. `record`
+  /// One sample on stream `stream`, drawn with the engine's kernel into
+  /// `frame`. `slot` >= 0 replaces that ledger slot, < 0 appends; `record`
   /// false skips the ledger entirely (calibration samples).
-  void sample_chunk(std::span<const std::uint64_t> streams,
-                    std::span<const std::uint32_t> slots,
-                    epoch::StateFrame& frame, bool record);
+  void sample_one(std::uint64_t stream, std::int64_t slot,
+                  epoch::StateFrame& frame, bool record);
   /// `count` fresh samples on fresh streams, appended to the ledger when
   /// `record` is set.
   void sample_fresh(std::uint64_t count, epoch::StateFrame& frame,
@@ -128,10 +125,11 @@ class IncrementalBc {
   std::uint64_t adaptive_loop();
 
   bc::KadabraParams params_;
-  int sample_batch_;
 
   std::shared_ptr<const graph::Graph> graph_;
-  std::shared_ptr<graph::BatchedBidirectionalBfs> kernel_;
+  // One traversal workspace for every draw; batches keep the vertex set,
+  // so it serves every snapshot.
+  std::shared_ptr<graph::BidirectionalBfs> kernel_;
   bc::KadabraContext context_;
   epoch::StateFrame aggregate_;
   SampleLedger ledger_;

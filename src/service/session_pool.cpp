@@ -55,8 +55,7 @@ void SessionPool::bootstrap(api::Config config) {
   // One shared dynamic state for the whole pool: every replica binds it,
   // so incremental engines (and their deterministic stream counters) are
   // pool-global and apply()/query results cannot depend on the pool size.
-  dynamic_ =
-      std::make_shared<dynamic::DynamicState>(graph_, config.sample_batch);
+  dynamic_ = std::make_shared<dynamic::DynamicState>(graph_);
   replicas_.reserve(pool_size);
   for (int i = 0; i < pool_size; ++i) {
     replicas_.push_back(std::make_unique<api::Session>(graph_, config));

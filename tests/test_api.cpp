@@ -410,10 +410,19 @@ TEST(ApiConfig, UnknownKeysAndMalformedValuesAreRejected) {
   const api::Status unknown = config.set("bogus_knob", "1");
   EXPECT_FALSE(unknown.ok);
   EXPECT_NE(unknown.message.find("unknown config key"), std::string::npos);
-  // Retired keys are unknown too (the incremental ledger's sketch cap).
+  // Retired keys are unknown too: the incremental ledger's sketch cap and
+  // the traversal-batch width, whether set directly or from profile text.
   const api::Status retired = config.set("dynamic_sketch_cap", "256");
   EXPECT_FALSE(retired.ok);
   EXPECT_NE(retired.message.find("unknown config key"), std::string::npos);
+  const api::Status retired_width = config.set("sample_batch", "8");
+  EXPECT_FALSE(retired_width.ok);
+  EXPECT_NE(retired_width.message.find("unknown config key"),
+            std::string::npos);
+  const api::Status retired_text = config.load_text("sample_batch = 16\n");
+  EXPECT_FALSE(retired_text.ok);
+  EXPECT_NE(retired_text.message.find("unknown config key"),
+            std::string::npos);
 
   EXPECT_FALSE(config.load_text("frame_rep = dense\nbogus_knob = 1\n").ok);
   EXPECT_EQ(config.frame_rep, epoch::FrameRep::kDense);  // applied before stop

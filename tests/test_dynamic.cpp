@@ -211,7 +211,7 @@ TEST(MutableGraph, ServesInPlaceRebuildOnOverflowAndRevertsExactly) {
 
 TEST(IncrementalBc, CleanSamplesSurviveChurn) {
   const auto initial = std::make_shared<const graph::Graph>(churn_graph());
-  dynamic::IncrementalBc engine(churn_params(), /*sample_batch=*/8);
+  dynamic::IncrementalBc engine(churn_params());
   engine.run(initial);
   ASSERT_TRUE(engine.ran());
   const std::uint64_t samples0 = engine.samples();
@@ -249,7 +249,7 @@ TEST(IncrementalBc, RunPlusRefreshSequencesReplayBitwise) {
 
   const auto replay = [&] {
     dynamic::MutableGraph mutable_graph(initial);
-    dynamic::IncrementalBc engine(churn_params(), 8);
+    dynamic::IncrementalBc engine(churn_params());
     engine.run(initial);
     dynamic::EdgeBatch first;
     first.insert(added.u, added.v);
@@ -281,7 +281,7 @@ TEST(IncrementalBc, RunPlusRefreshSequencesReplayBitwise) {
 
 TEST(IncrementalBc, RecalibratesOnlyWhenTheBoundIsViolated) {
   const auto initial = std::make_shared<const graph::Graph>(churn_graph());
-  dynamic::IncrementalBc engine(churn_params(), 8);
+  dynamic::IncrementalBc engine(churn_params());
   engine.run(initial);
   const std::uint32_t vd0 = engine.vertex_diameter();
   const std::uint64_t omega0 = engine.context().omega;
@@ -509,7 +509,7 @@ TEST(IncrementalBc, LedgerRecordsStayShortestPathsAcrossStackedBatches) {
   road.keep = 0.9;
   const auto initial =
       std::make_shared<const graph::Graph>(gen::road(road, 21));
-  dynamic::IncrementalBc engine(churn_params(), 8);
+  dynamic::IncrementalBc engine(churn_params());
   engine.run(initial);
   dynamic::MutableGraph mutable_graph(initial);
 
@@ -587,7 +587,7 @@ TEST(IncrementalBc, LargeBatchesFallBackToAFullRedraw) {
   const auto initial = std::make_shared<const graph::Graph>(
       graph::largest_component(gen::erdos_renyi(500, 1500, 17)));
   const bc::KadabraParams params = churn_params();
-  dynamic::IncrementalBc engine(params, 8);
+  dynamic::IncrementalBc engine(params);
   engine.run(initial);
   dynamic::MutableGraph mutable_graph(initial);
   Rng rng(5);
@@ -623,7 +623,7 @@ TEST(IncrementalBc, LargeBatchesFallBackToAFullRedraw) {
 
 TEST(DynamicState, RejectsBadBatchesTransactionally) {
   const auto initial = std::make_shared<const graph::Graph>(churn_graph());
-  dynamic::DynamicState state(initial, 8);
+  dynamic::DynamicState state(initial);
   const std::uint64_t fp0 = state.fingerprint();
 
   EXPECT_FALSE(state.apply(dynamic::EdgeBatch{}).status.ok);  // empty
@@ -662,7 +662,7 @@ TEST(DynamicState, RejectsBadBatchesTransactionally) {
 
 TEST(DynamicState, RefreshAccountingCoversEveryRetainedSample) {
   const auto initial = std::make_shared<const graph::Graph>(churn_graph());
-  dynamic::DynamicState state(initial, 8);
+  dynamic::DynamicState state(initial);
 
   const auto first = state.query(churn_params());
   ASSERT_TRUE(first.status.ok);
@@ -692,7 +692,7 @@ TEST(DynamicState, RefreshAccountingCoversEveryRetainedSample) {
 struct RecomputingTwin {
   RecomputingTwin(const std::shared_ptr<const graph::Graph>& initial,
                   const bc::KadabraParams& params)
-      : graph(initial), engine(params, 8) {
+      : graph(initial), engine(params) {
     engine.run(initial);
   }
 
@@ -728,7 +728,7 @@ void expect_matches_twin(dynamic::DynamicState& state,
 
 TEST(DynamicState, CoveredDeletionsSkipTheRecomputeAndMatchTheTwin) {
   const auto initial = std::make_shared<const graph::Graph>(churn_graph());
-  dynamic::DynamicState state(initial, 8);
+  dynamic::DynamicState state(initial);
   ASSERT_TRUE(state.query(churn_params()).first_run);  // proves the bound
   RecomputingTwin twin(initial, churn_params());
 
@@ -753,7 +753,7 @@ TEST(DynamicState, CoveredDeletionsSkipTheRecomputeAndMatchTheTwin) {
 
 TEST(DynamicState, DeletingAProvenEdgeRecomputesAndReproves) {
   const auto initial = std::make_shared<const graph::Graph>(churn_graph());
-  dynamic::DynamicState state(initial, 8);
+  dynamic::DynamicState state(initial);
   ASSERT_TRUE(state.query(churn_params()).first_run);
   RecomputingTwin twin(initial, churn_params());
   const auto apply_both = [&](const dynamic::EdgeBatch& batch) {
@@ -786,7 +786,7 @@ TEST(DynamicState, DeletingAProvenEdgeRecomputesAndReproves) {
 
 TEST(DynamicState, DisconnectingBatchOnAProvenEdgeIsStillRejected) {
   const auto initial = std::make_shared<const graph::Graph>(churn_graph());
-  dynamic::DynamicState state(initial, 8);
+  dynamic::DynamicState state(initial);
   ASSERT_TRUE(state.query(churn_params()).first_run);
 
   graph::Vertex loner = 0;
@@ -827,7 +827,6 @@ TEST(DynamicState, DisconnectingBatchOnAProvenEdgeIsStillRejected) {
 api::Config dynamic_config(int pool_size = 2) {
   api::Config config;
   config.seed = 4321;
-  config.sample_batch = 8;
   config.service_pool_size = pool_size;
   return config;
 }

@@ -1,12 +1,17 @@
 // Tests for the KADABRA path sampler: unbiasedness against exact
-// betweenness, disconnected-pair handling, bookkeeping invariants, and
-// interaction with state frames.
+// betweenness, disconnected-pair handling, bookkeeping invariants,
+// interaction with state frames, and a golden pin of the draw order.
+// Kernel sharing across streams and the observer tap are covered in
+// test_batch_sampler.
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <span>
+#include <vector>
 
 #include "bc/brandes.hpp"
 #include "bc/sampler.hpp"
+#include "gen/barabasi_albert.hpp"
 #include "gen/erdos_renyi.hpp"
 #include "graph/builder.hpp"
 #include "graph/components.hpp"
@@ -135,6 +140,30 @@ TEST(PathSampler, WorksOnCompleteGraphs) {
   for (int i = 0; i < 1000; ++i) sampler.sample(frame);
   for (Vertex v = 0; v < 8; ++v) EXPECT_EQ(frame.count(v), 0u);
   EXPECT_EQ(frame.tau(), 1000u);
+}
+
+std::uint64_t fnv1a(std::span<const std::uint64_t> words) {
+  std::uint64_t hash = 14695981039346656037ull;
+  for (const std::uint64_t word : words) {
+    for (int byte = 0; byte < 8; ++byte) {
+      hash ^= (word >> (8 * byte)) & 0xffu;
+      hash *= 1099511628211ull;
+    }
+  }
+  return hash;
+}
+
+TEST(PathSampler, GoldenFrameOnBarabasiAlbertPinsTheDrawOrder) {
+  // The frame of 5000 samples on one stream, pinned to the values the
+  // two-array reference traversal produced: pair draws, sigma sums, side
+  // selection and path draws must all survive any kernel rework.
+  const Graph graph = gen::barabasi_albert(3000, 4, 7);
+  PathSampler sampler(graph, Rng(2024).split(5));
+  epoch::StateFrame frame(graph.num_vertices());
+  for (int i = 0; i < 5000; ++i) sampler.sample(frame);
+  EXPECT_EQ(frame.tau(), 5000u);
+  EXPECT_EQ(frame.count_sum(), 12598u);
+  EXPECT_EQ(fnv1a(frame.raw()), 0x032e8383523c6962ull);
 }
 
 }  // namespace

@@ -1,9 +1,14 @@
 // Ablation for paper §III-B: "simple parallelization techniques - such as
 // taking a fixed number of samples before each check of the stopping
 // condition - fail to overlap computation and aggregation and are known to
-// not scale well". Compares the lockstep driver against the epoch-based
+// not scale well". Compares that lockstep scheme against the epoch-based
 // driver on the same instance and cluster shapes.
-#include "bc/lockstep.hpp"
+//
+// Lockstep is a configuration of the same engine: deterministic mode (every
+// stream takes its exact per-epoch share, no overlap samples, threads wait
+// at every transition) with kBlocking aggregation (blocking collectives on
+// every leg). Each epoch is then a fixed number of samples followed by a
+// full synchronization and a blocking reduction before the stop check.
 #include "bench_common.hpp"
 
 int main(int argc, char** argv) {
@@ -21,7 +26,8 @@ int main(int argc, char** argv) {
               graph.num_vertices());
 
   TablePrinter table({"P", "epoch ADS (s)", "lockstep ADS (s)",
-                      "epoch adv.", "epoch rate", "lockstep rate"});
+                      "epoch adv.", "epoch rate", "lockstep rate",
+                      "lockstep samples", "lockstep epochs"});
   for (const int p : {1, 4, 16}) {
     // Synchronization cost is the object of study: finer rounds and a
     // slower fabric keep it visible above the sampling work.
@@ -30,10 +36,10 @@ int main(int argc, char** argv) {
     const bc::BcResult epoch_result = bc::kadabra_mpi(
         graph, epoch_options, p, 1, bench::bench_network(config, 2000.0));
 
-    bc::LockstepOptions lockstep_options;
-    lockstep_options.params = epoch_options.params;
-    lockstep_options.epoch_base = epoch_options.engine.epoch_base;
-    const bc::BcResult lockstep_result = bc::lockstep_mpi(
+    bc::KadabraOptions lockstep_options = epoch_options;
+    lockstep_options.engine.deterministic = true;
+    lockstep_options.engine.aggregation = bc::Aggregation::kBlocking;
+    const bc::BcResult lockstep_result = bc::kadabra_mpi(
         graph, lockstep_options, p, 1, bench::bench_network(config, 2000.0));
 
     auto rate = [p](const bc::BcResult& result) {
@@ -49,7 +55,9 @@ int main(int argc, char** argv) {
          TablePrinter::fmt_ratio(lockstep_result.adaptive_seconds /
                                  epoch_result.adaptive_seconds),
          TablePrinter::fmt(rate(epoch_result), 0),
-         TablePrinter::fmt(rate(lockstep_result), 0)});
+         TablePrinter::fmt(rate(lockstep_result), 0),
+         std::to_string(lockstep_result.samples),
+         std::to_string(lockstep_result.epochs)});
   }
   table.print();
   std::printf("\nThe lockstep variant pays a full synchronization + "

@@ -4,7 +4,7 @@
 // throughput on the original labeling vs. degree-sorted vs. BFS-ordered.
 #include "bc/sampler.hpp"
 #include "bench_common.hpp"
-#include "epoch/state_frame.hpp"
+#include "epoch/sparse_frame.hpp"
 #include "graph/reorder.hpp"
 #include "support/timer.hpp"
 
@@ -14,7 +14,7 @@ double sample_rate(const distbc::graph::Graph& graph, std::uint64_t samples,
                    std::uint64_t seed) {
   using namespace distbc;
   bc::PathSampler sampler(graph, Rng(seed));
-  epoch::StateFrame frame(graph.num_vertices());
+  epoch::SparseFrame frame(graph.num_vertices());
   // Warm-up: fault in the adjacency arrays.
   for (std::uint64_t i = 0; i < samples / 10; ++i) sampler.sample(frame);
   WallTimer timer;

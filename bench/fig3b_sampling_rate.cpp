@@ -18,7 +18,7 @@
 #include "bench_common.hpp"
 
 #include "bc/sampler.hpp"
-#include "epoch/state_frame.hpp"
+#include "epoch/sparse_frame.hpp"
 #include "gen/barabasi_albert.hpp"
 #include "support/timer.hpp"
 
@@ -109,7 +109,7 @@ int main(int argc, char** argv) {
   // Round-robin over the streams, one sample each per round - the order
   // in which a thread's streams would contend for a kernel's cache lines.
   auto sample_streams = [&](std::vector<bc::PathSampler>& samplers,
-                            epoch::StateFrame& frame) {
+                            epoch::SparseFrame& frame) {
     for (std::uint64_t i = 0; i < per_stream; ++i)
       for (bc::PathSampler& sampler : samplers) sampler.sample(frame);
   };
@@ -134,9 +134,9 @@ int main(int argc, char** argv) {
   std::vector<double> single_times;
   std::vector<double> private_times;
   std::vector<double> shared_times;
-  epoch::StateFrame single_frame(n);
-  epoch::StateFrame private_frame(n);
-  epoch::StateFrame shared_frame(n);
+  epoch::SparseFrame single_frame(n);
+  epoch::SparseFrame private_frame(n);
+  epoch::SparseFrame shared_frame(n);
   for (std::uint64_t rep = 0; rep < batch_reps; ++rep) {
     {
       single_frame.clear();
@@ -147,7 +147,7 @@ int main(int argc, char** argv) {
       single_times.push_back(timer.elapsed_s());
     }
     for (const bool shared : {false, true}) {
-      epoch::StateFrame& frame = shared ? shared_frame : private_frame;
+      epoch::SparseFrame& frame = shared ? shared_frame : private_frame;
       frame.clear();
       auto samplers = make_samplers(shared);
       WallTimer timer;

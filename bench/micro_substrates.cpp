@@ -3,10 +3,13 @@
 // transitions, state-frame aggregation, and simulated reductions.
 #include <benchmark/benchmark.h>
 
+#include <numeric>
+#include <vector>
+
 #include "bc/kadabra_context.hpp"
 #include "bc/sampler.hpp"
 #include "epoch/epoch_manager.hpp"
-#include "epoch/state_frame.hpp"
+#include "epoch/sparse_frame.hpp"
 #include "gen/hyperbolic.hpp"
 #include "gen/rmat.hpp"
 #include "gen/road.hpp"
@@ -70,7 +73,7 @@ BENCHMARK(BM_BidirectionalVsFullBfs);
 void BM_SampleSocial(benchmark::State& state) {
   const auto& graph = social_graph();
   bc::PathSampler sampler(graph, Rng(9));
-  epoch::StateFrame frame(graph.num_vertices());
+  epoch::SparseFrame frame(graph.num_vertices());
   for (auto _ : state) sampler.sample(frame);
   state.SetItemsProcessed(state.iterations());
 }
@@ -80,7 +83,7 @@ void BM_SampleRoad(benchmark::State& state) {
   // Road samples are the expensive ones: high diameter, big BFS balls.
   const auto& graph = road_graph();
   bc::PathSampler sampler(graph, Rng(10));
-  epoch::StateFrame frame(graph.num_vertices());
+  epoch::SparseFrame frame(graph.num_vertices());
   for (auto _ : state) sampler.sample(frame);
   state.SetItemsProcessed(state.iterations());
 }
@@ -89,7 +92,7 @@ BENCHMARK(BM_SampleRoad);
 void BM_EpochTransition(benchmark::State& state) {
   // Cost of force_transition + immediate completion with a single thread:
   // the overhead floor of the epoch mechanism.
-  epoch::EpochManager<epoch::StateFrame> manager(1, epoch::StateFrame(1024));
+  epoch::EpochManager<epoch::SparseFrame> manager(1, epoch::SparseFrame(1024));
   std::uint32_t epoch = 0;
   for (auto _ : state) {
     manager.force_transition(epoch);
@@ -101,10 +104,13 @@ void BM_EpochTransition(benchmark::State& state) {
 BENCHMARK(BM_EpochTransition);
 
 void BM_FrameMerge(benchmark::State& state) {
+  // Worst case: every slot of the merged frame is nonzero.
   const auto n = static_cast<std::uint32_t>(state.range(0));
-  epoch::StateFrame a(n);
-  epoch::StateFrame b(n);
-  b.record_empty();
+  epoch::SparseFrame a(n);
+  epoch::SparseFrame b(n);
+  std::vector<std::uint32_t> every_vertex(n);
+  std::iota(every_vertex.begin(), every_vertex.end(), 0u);
+  b.record(every_vertex);
   for (auto _ : state) {
     a.merge(b);
     benchmark::DoNotOptimize(a.raw().data());
@@ -139,10 +145,10 @@ void BM_StopCheck(benchmark::State& state) {
   bc::KadabraParams params;
   params.epsilon = 0.01;
   bc::KadabraContext context = bc::begin_context(params, 16);
-  epoch::StateFrame initial(n);
+  epoch::SparseFrame initial(n);
   for (int i = 0; i < 1000; ++i) initial.record_empty();
   bc::finish_calibration(context, initial);
-  epoch::StateFrame aggregate(n);
+  epoch::SparseFrame aggregate(n);
   for (int i = 0; i < 5000; ++i) aggregate.record_empty();
   for (auto _ : state)
     benchmark::DoNotOptimize(context.stop_satisfied(aggregate));

@@ -1,6 +1,8 @@
 #include "adaptive/closeness.hpp"
 
 #include <cmath>
+#include <memory>
+#include <utility>
 
 #include "api/session.hpp"
 #include "engine/engine.hpp"
@@ -37,26 +39,28 @@ std::uint64_t closeness_sample_bound(std::uint32_t num_vertices,
 namespace {
 
 /// One sample: a full BFS from a uniform source, crediting 1/d to every
-/// reached vertex.
+/// reached vertex. The BFS workspace is shared by the streams of one
+/// physical thread (engine::ThreadWorkspaces).
 class SourceSampler {
  public:
-  SourceSampler(const graph::Graph& graph, Rng rng)
-      : graph_(&graph), ws_(graph.num_vertices()), rng_(rng) {}
+  SourceSampler(const graph::Graph& graph, Rng rng,
+                std::shared_ptr<graph::BfsWorkspace> ws)
+      : graph_(&graph), ws_(std::move(ws)), rng_(rng) {}
 
   void sample(ClosenessFrame& frame) {
     const auto source = static_cast<graph::Vertex>(
         rng_.next_bounded(graph_->num_vertices()));
-    graph::bfs(*graph_, source, ws_);
-    for (const graph::Vertex v : ws_.queue()) {
+    graph::bfs(*graph_, source, *ws_);
+    for (const graph::Vertex v : ws_->queue()) {
       if (v == source) continue;
-      frame.add_credit(v, 1.0 / static_cast<double>(ws_.dist(v)));
+      frame.add_credit(v, 1.0 / static_cast<double>(ws_->dist(v)));
     }
     frame.finish_source();
   }
 
  private:
   const graph::Graph* graph_;
-  graph::BfsWorkspace ws_;
+  std::shared_ptr<graph::BfsWorkspace> ws_;
   Rng rng_;
 };
 
@@ -78,8 +82,13 @@ ClosenessResult closeness_rank(const graph::Graph& graph,
   const double hoeffding_radius_log =
       std::log(2.0 * static_cast<double>(n) / params.delta) / 2.0;
 
+  // `options` is read at each call: the tuner below may change the thread
+  // count between the cost probe and the run.
+  engine::EngineOptions options = params.engine;
+  engine::ThreadWorkspaces<graph::BfsWorkspace> workspaces(n);
   auto make_sampler = [&](std::uint64_t stream) {
-    return SourceSampler(graph, Rng(params.seed).split(stream));
+    return SourceSampler(graph, Rng(params.seed).split(stream),
+                         workspaces.for_stream(stream, options, world.size()));
   };
   auto should_stop = [&](const ClosenessFrame& aggregate) {
     const std::uint64_t tau = aggregate.sources();
@@ -100,7 +109,6 @@ ClosenessResult closeness_rank(const graph::Graph& graph,
   // worst case bounds the useful sample count, so an epoch must never run
   // past a fraction of it or easy (low-variance) instances overshoot the
   // adaptive stopping point before the first check.
-  engine::EngineOptions options = params.engine;
   if (params.auto_tune != nullptr) {
     ClosenessFrame probe(n);  // one O(n) frame serves size query and probe
     tune::TuneRequest request;

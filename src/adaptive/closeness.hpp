@@ -55,7 +55,7 @@ class ClosenessFrame {
     if (other.empty()) return;
     for (std::size_t i = 0; i < data_.size(); ++i) data_[i] += other.data_[i];
   }
-  [[nodiscard]] std::span<std::uint64_t> raw() { return data_; }
+  [[nodiscard]] std::span<const std::uint64_t> raw() const { return data_; }
 
   // --- Wire-image interface (epoch/frame_codec.hpp) ----------------------
   [[nodiscard]] std::size_t dense_words() const { return data_.size(); }

@@ -1,6 +1,8 @@
 #include "adaptive/mean_distance.hpp"
 
 #include <cmath>
+#include <memory>
+#include <utility>
 
 #include "api/session.hpp"
 #include "engine/engine.hpp"
@@ -33,16 +35,19 @@ double bernstein_half_width(double variance, double range, double delta,
 
 namespace {
 
-/// One sample: a uniform distinct pair's shortest-path distance.
+/// One sample: a uniform distinct pair's shortest-path distance. The
+/// traversal kernel is shared by the streams of one physical thread
+/// (engine::ThreadWorkspaces).
 class DistanceSampler {
  public:
-  DistanceSampler(const graph::Graph& graph, Rng rng)
-      : graph_(&graph), bfs_(graph.num_vertices()), rng_(rng) {}
+  DistanceSampler(const graph::Graph& graph, Rng rng,
+                  std::shared_ptr<graph::BidirectionalBfs> bfs)
+      : graph_(&graph), bfs_(std::move(bfs)), rng_(rng) {}
 
   void sample(MomentFrame& frame) {
     const auto [s, t] = rng_.next_distinct_pair(graph_->num_vertices());
-    const auto pair = bfs_.run(*graph_, static_cast<graph::Vertex>(s),
-                               static_cast<graph::Vertex>(t));
+    const auto pair = bfs_->run(*graph_, static_cast<graph::Vertex>(s),
+                                static_cast<graph::Vertex>(t));
     DISTBC_ASSERT_MSG(pair.connected,
                       "mean_distance requires a connected graph");
     frame.record(pair.distance);
@@ -50,7 +55,7 @@ class DistanceSampler {
 
  private:
   const graph::Graph* graph_;
-  graph::BidirectionalBfs bfs_;
+  std::shared_ptr<graph::BidirectionalBfs> bfs_;
   Rng rng_;
 };
 
@@ -76,8 +81,15 @@ MeanDistanceResult mean_distance_rank(const graph::Graph& graph,
     world.bcast(std::span{&range, 1}, 0);
   }
 
+  // `engine_options` is read at each call: the tuner below may change the
+  // thread count between the cost probe and the run.
+  engine::EngineOptions engine_options = params.engine;
+  engine::ThreadWorkspaces<graph::BidirectionalBfs> kernels(
+      graph.num_vertices());
   auto make_sampler = [&](std::uint64_t stream) {
-    return DistanceSampler(graph, Rng(params.seed).split(stream));
+    return DistanceSampler(
+        graph, Rng(params.seed).split(stream),
+        kernels.for_stream(stream, engine_options, world.size()));
   };
   auto should_stop = [&](const MomentFrame& aggregate) {
     const std::uint64_t n = aggregate.count();
@@ -86,7 +98,6 @@ MeanDistanceResult mean_distance_rank(const graph::Graph& graph,
                                 n) <= params.epsilon;
   };
 
-  engine::EngineOptions engine_options = params.engine;
   if (params.auto_tune != nullptr) {
     tune::TuneRequest request;
     request.frame_words = MomentFrame{}.raw().size();

@@ -8,23 +8,16 @@
 #include "bc/sampler.hpp"
 #include "bc/topk.hpp"
 #include "epoch/sparse_frame.hpp"
-#include "epoch/state_frame.hpp"
 #include "graph/stats.hpp"
 #include "support/timer.hpp"
 #include "tune/tuner.hpp"
 
 namespace distbc::bc {
 
-namespace {
-
-/// The three-phase driver, generic over the frame representation. kDense
-/// runs use StateFrame (flat elementwise reductions, the paper's layout);
-/// sparse/auto runs use SparseFrame (touched-set tracking + delta images).
-/// Deterministic-mode results are bitwise identical across the two.
-template <typename Frame>
-BcResult kadabra_run_frames(const graph::Graph& graph,
-                            const KadabraOptions& options,
-                            mpisim::Comm* world) {
+BcResult kadabra_run(const graph::Graph& graph, const KadabraOptions& options,
+                     mpisim::Comm* world) {
+  DISTBC_ASSERT(options.engine.threads_per_rank >= 1);
+  DISTBC_ASSERT(options.omega_fraction > 0);
   WallTimer total_timer;
   PhaseTimer phases;
   BcResult result;
@@ -50,27 +43,15 @@ BcResult kadabra_run_frames(const graph::Graph& graph,
   // over fresh samples, as in KADABRA. The split holds whether or not a
   // warm start skips the calibration sampling itself.
   const std::uint64_t streams = engine::num_streams(engine_options, num_ranks);
-  const auto total_threads =
-      static_cast<std::uint64_t>(num_ranks) *
-      static_cast<std::uint64_t>(engine_options.threads_per_rank);
 
   // Sampler factory for both phases: every stream of a physical thread
-  // (stream v lives on global thread v mod PT - the engine's assignment
-  // rule) shares that thread's traversal kernel, so virtual streams do not
-  // grow the per-thread working set. The thread samples its streams one
-  // after another, so sharing changes no draw.
-  std::vector<std::shared_ptr<graph::BidirectionalBfs>> kernels(
-      static_cast<std::size_t>(engine_options.threads_per_rank));
+  // shares that thread's traversal kernel, so virtual streams do not grow
+  // the per-thread working set.
+  engine::ThreadWorkspaces<graph::BidirectionalBfs> kernels(n);
   const auto sampler_factory = [&](std::uint64_t base_stream) {
-    return [&graph, &params, &kernels, total_threads, base_stream](
-               std::uint64_t v) {
-      auto& kernel = kernels[static_cast<std::size_t>(
-          engine::stream_owner(v, total_threads) % kernels.size())];
-      if (kernel == nullptr)
-        kernel = std::make_shared<graph::BidirectionalBfs>(
-            graph.num_vertices());
+    return [&, base_stream](std::uint64_t v) {
       return PathSampler(graph, Rng(params.seed).split(base_stream + v),
-                         kernel);
+                         kernels.for_stream(v, engine_options, num_ranks));
     };
   };
 
@@ -102,8 +83,8 @@ BcResult kadabra_run_frames(const graph::Graph& graph,
     // --- Phase 2: parallel calibration through the engine's hook. --------
     WallTimer calibration_timer;
     phases.timed(Phase::kCalibration, [&] {
-      const Frame initial =
-          engine::calibrate(world, Frame(n), sampler_factory(0),
+      const epoch::SparseFrame initial =
+          engine::calibrate(world, epoch::SparseFrame(n), sampler_factory(0),
                             state->context.initial_samples, engine_options);
       if (is_root) {
         finish_calibration(state->context, initial);
@@ -165,11 +146,12 @@ BcResult kadabra_run_frames(const graph::Graph& graph,
   engine_options.max_epoch_length = engine::paced_epoch_cap(
       context.omega, options.omega_fraction, options.min_epoch_length,
       engine_options.max_epoch_length);
-  const auto stop = [&](const Frame& aggregate) {
+  const auto stop = [&](const epoch::SparseFrame& aggregate) {
     return context.stop_satisfied(aggregate);
   };
-  auto driver = engine::run_epochs(world, Frame(n), sampler_factory(streams),
-                                   stop, engine_options);
+  auto driver =
+      engine::run_epochs(world, epoch::SparseFrame(n),
+                         sampler_factory(streams), stop, engine_options);
   result.adaptive_seconds = adaptive_timer.elapsed_s();
 
   phases.merge(driver.phases);
@@ -210,7 +192,7 @@ BcResult kadabra_run_frames(const graph::Graph& graph,
     }
   }
   if (is_root) {
-    const Frame& aggregate = driver.aggregate;
+    const epoch::SparseFrame& aggregate = driver.aggregate;
     scores_from_frame(aggregate, result.scores);
     result.samples = aggregate.tau();
     result.comm_bytes = driver.comm_bytes;
@@ -221,25 +203,6 @@ BcResult kadabra_run_frames(const graph::Graph& graph,
   }
   result.total_seconds = total_timer.elapsed_s();
   return result;
-}
-
-}  // namespace
-
-BcResult kadabra_run(const graph::Graph& graph, const KadabraOptions& options,
-                     mpisim::Comm* world) {
-  DISTBC_ASSERT(options.engine.threads_per_rank >= 1);
-  DISTBC_ASSERT(options.omega_fraction > 0);
-  // Autotuned runs also get SparseFrame: the tuner may upgrade frame_rep
-  // to auto mid-run (after calibration), and only SparseFrame's touched
-  // set makes that upgrade O(nonzeros) per encode instead of an O(V) scan.
-  // Should the tuner keep dense, SparseFrame's dense images are bitwise
-  // equivalent on the wire.
-  const bool dense_frames = options.engine.frame_rep ==
-                                engine::FrameRep::kDense &&
-                            options.auto_tune == nullptr;
-  return dense_frames
-             ? kadabra_run_frames<epoch::StateFrame>(graph, options, world)
-             : kadabra_run_frames<epoch::SparseFrame>(graph, options, world);
 }
 
 BcResult kadabra_sequential(const graph::Graph& graph,

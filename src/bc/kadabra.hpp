@@ -77,13 +77,18 @@ struct KadabraOptions {
   KadabraParams params;
   /// Engine configuration: threads per rank, aggregation strategy,
   /// hierarchical reduction, epoch-length rule, deterministic mode, and
-  /// the frame representation (engine.frame_rep): kDense runs on
-  /// epoch::StateFrame with flat elementwise reductions; kSparse/kAuto run
-  /// on epoch::SparseFrame, shipping index/count delta images whose size
-  /// scales with samples taken instead of |V|. Deterministic-mode results
-  /// are bitwise identical across representations. Autotuned runs (below)
-  /// always use SparseFrame, since the tuner may upgrade frame_rep to
-  /// auto after calibration and only SparseFrame encodes in O(nonzeros).
+  /// the wire format of the one betweenness frame, epoch::SparseFrame
+  /// (engine.frame_rep): kDense ships its flat |V|+1 vector as one
+  /// elementwise reduction; kSparse/kAuto ship index/count delta images
+  /// whose size scales with samples taken instead of |V|.
+  /// Deterministic-mode results are bitwise identical across
+  /// representations.
+  ///
+  /// The paper's §III-B lockstep strawman ("a fixed number of samples
+  /// before each check") is a configuration of this driver:
+  /// engine.deterministic = true (exact per-stream shares, no overlap
+  /// samples, threads wait at every transition) with engine.aggregation =
+  /// kBlocking (blocking collectives on every leg).
   engine::EngineOptions engine;
   /// First-stop-check pacing knobs, applied through the one shared clamp
   /// implementation (engine::paced_epoch_cap in engine/streams.hpp): the

@@ -23,4 +23,14 @@ KadabraContext begin_context(const KadabraParams& params,
   return context;
 }
 
+void finish_calibration(KadabraContext& context,
+                        const epoch::SparseFrame& initial_frame) {
+  DISTBC_ASSERT(initial_frame.tau() > 0);
+  const std::span<const std::uint64_t> raw(initial_frame.raw());
+  context.calibration =
+      calibrate(raw.subspan(0, initial_frame.num_vertices()),
+                initial_frame.tau(), context.params.epsilon,
+                context.params.delta, context.params.balancing);
+}
+
 }  // namespace distbc::bc

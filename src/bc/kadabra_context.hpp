@@ -3,10 +3,9 @@
 // (calibration) produce a KadabraContext; phase 3 (adaptive sampling)
 // consults stop_satisfied() on consistent aggregated state frames.
 //
-// The context is frame-representation agnostic: stop_satisfied and
-// finish_calibration accept any aggregate exposing count()/tau()/
-// num_vertices() (epoch::StateFrame and epoch::SparseFrame both do), so
-// the same stopping machinery serves every wire representation.
+// The context reads the one betweenness frame, epoch::SparseFrame, whatever
+// wire representation carried it, so the same stopping machinery serves
+// every representation.
 #pragma once
 
 #include <cstdint>
@@ -14,6 +13,7 @@
 
 #include "bc/calibration.hpp"
 #include "bc/kadabra_math.hpp"
+#include "epoch/sparse_frame.hpp"
 #include "graph/diameter.hpp"
 #include "graph/graph.hpp"
 #include "support/assert.hpp"
@@ -29,8 +29,8 @@ struct KadabraContext {
 
   /// Evaluates KADABRA's stopping condition on an aggregated state frame.
   /// The frame must be a consistent snapshot (f and g are not monotone).
-  template <typename Frame>
-  [[nodiscard]] bool stop_satisfied(const Frame& aggregate) const {
+  [[nodiscard]] bool stop_satisfied(
+      const epoch::SparseFrame& aggregate) const {
     const std::uint64_t tau = aggregate.tau();
     if (tau == 0) return false;
     if (tau >= omega) return true;  // VC-dimension budget exhausted
@@ -64,16 +64,9 @@ struct KadabraContext {
                                            std::uint32_t vertex_diameter);
 
 /// Phase 2 completion: calibrate per-vertex failure shares from the
-/// aggregated non-adaptive samples. Zero-copy: both frame types expose
-/// their dense counts-then-tau layout through a (const) raw() span.
-template <typename Frame>
-void finish_calibration(KadabraContext& context, const Frame& initial_frame) {
-  DISTBC_ASSERT(initial_frame.tau() > 0);
-  const std::span<const std::uint64_t> raw(initial_frame.raw());
-  context.calibration =
-      calibrate(raw.subspan(0, initial_frame.num_vertices()),
-                initial_frame.tau(), context.params.epsilon,
-                context.params.delta, context.params.balancing);
-}
+/// aggregated non-adaptive samples. Zero-copy: the frame exposes its dense
+/// counts-then-tau layout through a const raw() span.
+void finish_calibration(KadabraContext& context,
+                        const epoch::SparseFrame& initial_frame);
 
 }  // namespace distbc::bc

@@ -29,4 +29,14 @@ double BcResult::max_abs_difference(const BcResult& other) const {
   return worst;
 }
 
+void scores_from_frame(const epoch::SparseFrame& aggregate,
+                       std::vector<double>& scores) {
+  const std::uint32_t n = aggregate.num_vertices();
+  scores.assign(n, 0.0);
+  const auto tau = static_cast<double>(aggregate.tau());
+  if (tau == 0.0) return;
+  for (std::uint32_t v = 0; v < n; ++v)
+    scores[v] = static_cast<double>(aggregate.count(v)) / tau;
+}
+
 }  // namespace distbc::bc

@@ -7,6 +7,7 @@
 #include <vector>
 
 #include "engine/engine.hpp"
+#include "epoch/sparse_frame.hpp"
 #include "graph/graph.hpp"
 #include "support/timer.hpp"
 
@@ -65,16 +66,9 @@ struct BcResult {
 };
 
 /// Extracts normalized betweenness estimates b~(v) = c~(v) / tau from an
-/// aggregated state frame - representation-agnostic (any frame with
-/// count()/tau()/num_vertices()), shared by every sampling driver.
-template <typename Frame>
-void scores_from_frame(const Frame& aggregate, std::vector<double>& scores) {
-  const std::uint32_t n = aggregate.num_vertices();
-  scores.assign(n, 0.0);
-  const auto tau = static_cast<double>(aggregate.tau());
-  if (tau == 0.0) return;
-  for (std::uint32_t v = 0; v < n; ++v)
-    scores[v] = static_cast<double>(aggregate.count(v)) / tau;
-}
+/// aggregated state frame (all zero when tau is 0); shared by every
+/// sampling driver.
+void scores_from_frame(const epoch::SparseFrame& aggregate,
+                       std::vector<double>& scores);
 
 }  // namespace distbc::bc

@@ -46,8 +46,8 @@ BcResult rk(const graph::Graph& graph, const RkParams& params,
   result.omega = budget;
 
   WallTimer sampling_timer;
-  std::vector<epoch::StateFrame> frames(num_threads,
-                                        epoch::StateFrame(n));
+  std::vector<epoch::SparseFrame> frames(num_threads,
+                                         epoch::SparseFrame(n));
   auto worker = [&](int t) {
     PathSampler sampler(graph, Rng(params.seed).split(t));
     const std::uint64_t share =
@@ -59,7 +59,7 @@ BcResult rk(const graph::Graph& graph, const RkParams& params,
   for (int t = 0; t < num_threads; ++t) threads.emplace_back(worker, t);
   for (auto& thread : threads) thread.join();
 
-  epoch::StateFrame total(n);
+  epoch::SparseFrame total(n);
   for (const auto& frame : frames) total.merge(frame);
   DISTBC_ASSERT(total.tau() == budget);
 

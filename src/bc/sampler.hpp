@@ -14,7 +14,7 @@
 #include <utility>
 #include <vector>
 
-#include "epoch/state_frame.hpp"
+#include "epoch/sparse_frame.hpp"
 #include "graph/bidirectional_bfs.hpp"
 #include "graph/graph.hpp"
 #include "support/random.hpp"
@@ -50,11 +50,8 @@ class PathSampler {
   /// observer must outlive every subsequent sample.
   void set_observer(SampleObserver* observer) { observer_ = observer; }
 
-  /// Takes one sample and records it into `frame` - any frame offering the
-  /// record()/record_empty() contract (StateFrame, SparseFrame), so the
-  /// sampler is agnostic to the run's frame representation.
-  template <typename Frame>
-  void sample(Frame& frame) {
+  /// Takes one sample and records it into `frame`.
+  void sample(epoch::SparseFrame& frame) {
     const auto [s64, t64] = rng_.next_distinct_pair(graph_->num_vertices());
     const auto s = static_cast<graph::Vertex>(s64);
     const auto t = static_cast<graph::Vertex>(t64);

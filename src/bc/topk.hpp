@@ -28,6 +28,7 @@
 #include <span>
 #include <vector>
 
+#include "epoch/sparse_frame.hpp"
 #include "graph/graph.hpp"
 #include "mpisim/comm.hpp"
 #include "support/assert.hpp"
@@ -47,11 +48,10 @@ inline bool top_k_before(const TopKEntry& a, const TopKEntry& b) {
   return a.vertex < b.vertex;
 }
 
-/// The k highest-count vertices of one frame (any frame exposing
-/// num_vertices()/count()), ordered by top_k_before. O(V log k).
-template <typename Frame>
-[[nodiscard]] std::vector<TopKEntry> local_top_k(const Frame& frame,
-                                                 std::size_t k) {
+/// The k highest-count vertices of one frame, ordered by top_k_before.
+/// O(V log k).
+[[nodiscard]] inline std::vector<TopKEntry> local_top_k(
+    const epoch::SparseFrame& frame, std::size_t k) {
   std::vector<TopKEntry> heap;  // min-heap on top_k_before's inverse
   const auto worse = [](const TopKEntry& a, const TopKEntry& b) {
     return top_k_before(a, b);
@@ -77,10 +77,8 @@ template <typename Frame>
 /// `world`; the result is valid at rank zero (other ranks return empty -
 /// callers that want it everywhere broadcast the 2k-word pair list, not a
 /// frame). Every round moves flat (vertex, count) uint64 pairs.
-template <typename Frame>
-[[nodiscard]] std::vector<TopKEntry> distributed_top_k(mpisim::Comm& world,
-                                                       const Frame& local,
-                                                       std::size_t k) {
+[[nodiscard]] inline std::vector<TopKEntry> distributed_top_k(
+    mpisim::Comm& world, const epoch::SparseFrame& local, std::size_t k) {
   const bool is_root = world.rank() == 0;
   const auto num_ranks = static_cast<std::uint64_t>(world.size());
   if (k == 0) return {};

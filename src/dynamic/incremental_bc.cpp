@@ -4,6 +4,7 @@
 #include <numeric>
 #include <utility>
 
+#include "bc/result.hpp"
 #include "graph/diameter.hpp"
 #include "support/assert.hpp"
 
@@ -25,7 +26,7 @@ void IncrementalBc::Recorder::on_sample(graph::Vertex s, graph::Vertex t,
 IncrementalBc::IncrementalBc(bc::KadabraParams params) : params_(params) {}
 
 void IncrementalBc::sample_one(std::uint64_t stream, std::int64_t slot,
-                               epoch::StateFrame& frame, bool record) {
+                               epoch::SparseFrame& frame, bool record) {
   bc::PathSampler sampler(*graph_, Rng(params_.seed).split(stream), kernel_);
   Recorder recorder;
   if (record) {
@@ -39,8 +40,8 @@ void IncrementalBc::sample_one(std::uint64_t stream, std::int64_t slot,
   draw_arcs_ += kernel_->last_touched();
 }
 
-void IncrementalBc::sample_fresh(std::uint64_t count, epoch::StateFrame& frame,
-                                 bool record) {
+void IncrementalBc::sample_fresh(std::uint64_t count,
+                                 epoch::SparseFrame& frame, bool record) {
   for (; count > 0; --count) {
     DISTBC_DEBUG_ASSERT(!record ||
                         next_stream_ == ledger_stream_ + ledger_.size());
@@ -84,10 +85,10 @@ void IncrementalBc::run(std::shared_ptr<const graph::Graph> graph) {
   vertex_diameter_ = bound.value;
   diameter_bfs_ = bound.num_bfs;
   context_ = bc::begin_context(params_, vertex_diameter_);
-  aggregate_ = epoch::StateFrame(graph_->num_vertices());
+  aggregate_ = epoch::SparseFrame(graph_->num_vertices());
   // Phase 2: non-adaptive calibration samples feed only the stopping
   // radii - not the estimator, so no ledger records.
-  epoch::StateFrame calibration_frame(graph_->num_vertices());
+  epoch::SparseFrame calibration_frame(graph_->num_vertices());
   sample_fresh(context_.initial_samples, calibration_frame, /*record=*/false);
   bc::finish_calibration(context_, calibration_frame);
   // Phase 3: adaptive epochs, every sample recorded in the ledger.
@@ -132,16 +133,8 @@ IncrementalBc::RefreshStats IncrementalBc::refresh(
 
   // Subtract every dirty sample's contribution: its path counts and its
   // tau share (disconnected records contributed tau only).
-  const std::span<std::uint64_t> raw = aggregate_.raw();
-  const std::uint32_t n = aggregate_.num_vertices();
-  for (const std::uint32_t index : dirty) {
-    for (const graph::Vertex v : ledger_.path(index)) {
-      DISTBC_DEBUG_ASSERT(raw[v] > 0);
-      --raw[v];
-    }
-    DISTBC_ASSERT(raw[n] > 0);
-    --raw[n];
-  }
+  for (const std::uint32_t index : dirty)
+    aggregate_.unrecord(ledger_.path(index));
 
   DISTBC_ASSERT(graph->num_vertices() == graph_->num_vertices());
   graph_ = std::move(graph);
@@ -176,11 +169,8 @@ IncrementalBc::RefreshStats IncrementalBc::refresh(
 
 std::vector<double> IncrementalBc::scores() const {
   DISTBC_ASSERT(ran_ && aggregate_.tau() > 0);
-  const std::uint32_t n = aggregate_.num_vertices();
-  std::vector<double> result(n, 0.0);
-  const auto tau = static_cast<double>(aggregate_.tau());
-  for (std::uint32_t v = 0; v < n; ++v)
-    result[v] = static_cast<double>(aggregate_.count(v)) / tau;
+  std::vector<double> result;
+  bc::scores_from_frame(aggregate_, result);
   return result;
 }
 

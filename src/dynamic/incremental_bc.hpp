@@ -46,7 +46,7 @@
 #include "bc/sampler.hpp"
 #include "dynamic/edge_batch.hpp"
 #include "dynamic/sample_ledger.hpp"
-#include "epoch/state_frame.hpp"
+#include "epoch/sparse_frame.hpp"
 #include "graph/bidirectional_bfs.hpp"
 #include "graph/graph.hpp"
 
@@ -112,10 +112,10 @@ class IncrementalBc {
   /// `frame`. `slot` >= 0 replaces that ledger slot, < 0 appends; `record`
   /// false skips the ledger entirely (calibration samples).
   void sample_one(std::uint64_t stream, std::int64_t slot,
-                  epoch::StateFrame& frame, bool record);
+                  epoch::SparseFrame& frame, bool record);
   /// `count` fresh samples on fresh streams, appended to the ledger when
   /// `record` is set.
-  void sample_fresh(std::uint64_t count, epoch::StateFrame& frame,
+  void sample_fresh(std::uint64_t count, epoch::SparseFrame& frame,
                     bool record);
   /// Redraws the given ledger slots, each on its own stream, into
   /// aggregate_.
@@ -131,7 +131,7 @@ class IncrementalBc {
   // so it serves every snapshot.
   std::shared_ptr<graph::BidirectionalBfs> kernel_;
   bc::KadabraContext context_;
-  epoch::StateFrame aggregate_;
+  epoch::SparseFrame aggregate_;
   SampleLedger ledger_;
   std::uint32_t vertex_diameter_ = 0;
   std::uint64_t diameter_bfs_ = 0;

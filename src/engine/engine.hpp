@@ -28,18 +28,22 @@
 //   Frame(const Frame&)            - copyable prototype construction
 //   void clear()
 //   void merge(const Frame&)       - equivalent to elementwise sum
-// plus at least one wire interface (engine/frame_traits.hpp):
-//   std::span<std::uint64_t> raw() - mutable flat view: the classic
-//     elementwise-reduction path (and the dense §IV-E window pass);
-//   dense_words()/encode()/decode_add()/add_dense() - the frame_codec
-//     serialization contract: variable-length wire images (dense or sparse
-//     index/count deltas), moved by the communicator's reduce_merge path
-//     and scatter-added into the §IV-E window.
-// EngineOptions::frame_rep picks the wire representation for frames that
-// support both; epoch::SparseFrame is serializable-only, so it always
-// rides the image path. In deterministic mode all representations produce
-// bitwise-identical aggregates: images carry exact uint64 counts and
-// decoding is a commutative elementwise sum.
+//   std::span<const std::uint64_t> raw() const + add_dense() - the flat
+//     view (engine/frame_traits.hpp DenseReducible): the classic
+//     elementwise-reduction path and the dense §IV-E window pass. The
+//     engine reduces the const view into a reused scratch vector, then
+//     clears the target frame and add_dense()s the result, so it never
+//     writes through raw();
+// and optionally the wire-image interface (WireSerializable):
+//   dense_words()/encode()/decode_add() - the frame_codec serialization
+//     contract: variable-length wire images (dense or sparse index/count
+//     deltas), moved by the communicator's reduce_merge path and
+//     scatter-added into the §IV-E window.
+// EngineOptions::frame_rep picks the wire representation for frames with
+// both (epoch::SparseFrame, the betweenness frame, has both). In
+// deterministic mode all representations produce bitwise-identical
+// aggregates: images carry exact uint64 counts and decoding is a
+// commutative elementwise sum.
 // Requirements on the sampler factory: Sampler make(stream_index) for
 // stream indices in [0, num_streams), where Sampler provides
 // void sample(Frame&). A physical thread takes its streams' samples one at
@@ -52,6 +56,7 @@
 
 #include <algorithm>
 #include <cstdint>
+#include <memory>
 #include <optional>
 #include <string_view>
 #include <thread>
@@ -113,8 +118,9 @@ struct EngineOptions {
   /// index/count delta pairs over variable-length merge reductions, making
   /// aggregation cost proportional to samples taken; kAuto picks the
   /// smaller image per payload (never loses to the worse fixed choice).
-  /// Only effective for frames implementing the serialization interface;
-  /// drivers choose the matching frame type (StateFrame vs SparseFrame).
+  /// Only effective for frames implementing the wire-image interface
+  /// (every driver's frame does); it selects the wire format, not a frame
+  /// class.
   /// Process-wide defaulting (the DISTBC_FRAME_REP environment variable)
   /// lives exclusively in api::Config; the engine itself never peeks at
   /// the environment.
@@ -155,6 +161,40 @@ struct EngineOptions {
     return options.virtual_streams;
   return physical;
 }
+
+/// One traversal workspace per physical thread of this rank, for sampler
+/// factories: every stream a thread samples gets that thread's workspace
+/// (stream v runs on local thread stream_owner(v, P*T) % T, the rule
+/// detail::assign_streams applies). A thread takes its streams' samples
+/// one at a time, so sharing changes no draw; it keeps a deterministic run
+/// with many virtual streams at one O(|V|) workspace per thread. Not
+/// thread-safe: call it from the factory, which the engine invokes on the
+/// rank's main thread before any worker starts.
+template <typename Workspace>
+class ThreadWorkspaces {
+ public:
+  explicit ThreadWorkspaces(std::uint32_t num_vertices)
+      : num_vertices_(num_vertices) {}
+
+  /// The workspace of the thread that samples stream `v` in a run with
+  /// `options` on `num_ranks` ranks; built on first use.
+  [[nodiscard]] std::shared_ptr<Workspace> for_stream(
+      std::uint64_t v, const EngineOptions& options, int num_ranks) {
+    const auto threads =
+        static_cast<std::uint64_t>(options.threads_per_rank);
+    const auto t = static_cast<std::size_t>(
+        stream_owner(v, static_cast<std::uint64_t>(num_ranks) * threads) %
+        threads);
+    if (t >= workspaces_.size()) workspaces_.resize(t + 1);
+    if (workspaces_[t] == nullptr)
+      workspaces_[t] = std::make_shared<Workspace>(num_vertices_);
+    return workspaces_[t];
+  }
+
+ private:
+  std::uint32_t num_vertices_;
+  std::vector<std::shared_ptr<Workspace>> workspaces_;
+};
 
 template <typename Frame>
 struct EngineResult {
@@ -256,8 +296,8 @@ Frame calibrate(mpisim::Comm* world, const Frame& prototype,
   for (const Frame& frame : frames) local.merge(frame);
   if (num_ranks <= 1) return local;
 
-  static_assert(DenseReducible<Frame> || WireSerializable<Frame>,
-                "Frame offers neither wire interface (frame_traits.hpp)");
+  static_assert(DenseReducible<Frame>,
+                "Frame lacks the dense interface (frame_traits.hpp)");
   Frame aggregate(prototype);
   aggregate.clear();
   if constexpr (WireSerializable<Frame>) {
@@ -287,10 +327,10 @@ Frame calibrate(mpisim::Comm* world, const Frame& prototype,
       return world->rank() == 0 ? aggregate : local;
     }
   }
-  if constexpr (DenseReducible<Frame>) {
-    world->reduce(std::span<const std::uint64_t>(local.raw()),
-                  aggregate.raw(), 0);
-  }
+  std::vector<std::uint64_t> reduced(local.raw().size());
+  world->reduce(std::span<const std::uint64_t>(local.raw()),
+                std::span<std::uint64_t>(reduced), 0);
+  if (world->rank() == 0) aggregate.add_dense(reduced);
   return world->rank() == 0 ? aggregate : local;
 }
 
@@ -301,8 +341,8 @@ EngineResult<Frame> run_epochs(mpisim::Comm* world, const Frame& prototype,
                                MakeSampler&& make_sampler,
                                StopFn&& should_stop,
                                const EngineOptions& options) {
-  static_assert(DenseReducible<Frame> || WireSerializable<Frame>,
-                "Frame offers neither wire interface (frame_traits.hpp)");
+  static_assert(DenseReducible<Frame>,
+                "Frame lacks the dense interface (frame_traits.hpp)");
   DISTBC_ASSERT(options.threads_per_rank >= 1);
   DISTBC_ASSERT_MSG(options.deterministic || options.virtual_streams == 0,
                     "virtual streams require deterministic mode");
@@ -345,15 +385,8 @@ EngineResult<Frame> run_epochs(mpisim::Comm* world, const Frame& prototype,
       rank, num_threads, total_threads, streams, n0_total, make_sampler);
 
   Hierarchy hierarchy;
-  if (options.hierarchical && multi_rank) {
-    std::size_t frame_words = 0;
-    if constexpr (WireSerializable<Frame>) {
-      frame_words = result.aggregate.dense_words();
-    } else {
-      frame_words = result.aggregate.raw().size();
-    }
-    hierarchy.init(*world, frame_words);
-  }
+  if (options.hierarchical && multi_rank)
+    hierarchy.init(*world, result.aggregate.raw().size());
 
   epoch::EpochManager<Frame> manager(num_threads, prototype);
   std::vector<std::uint64_t> taken(num_threads, 0);
@@ -394,6 +427,10 @@ EngineResult<Frame> run_epochs(mpisim::Comm* world, const Frame& prototype,
     Frame snapshot(prototype);   // S^e_loc: this rank's epoch aggregate
     Frame epoch_agg(prototype);  // S^e: global epoch aggregate (at root)
     std::vector<std::uint64_t> wire_buffer;  // reused encode scratch
+    // Reused target of the dense reductions; epoch_agg is rebuilt from it.
+    std::vector<std::uint64_t> dense_buffer;
+    if (multi_rank && !wire_images)
+      dense_buffer.assign(prototype.raw().size(), 0);
     std::uint8_t done_flag = 0;
     std::uint32_t epoch = 0;
     std::uint64_t count = 0;
@@ -531,7 +568,8 @@ EngineResult<Frame> run_epochs(mpisim::Comm* world, const Frame& prototype,
         // dense, per the representation policy); flat merges ride the
         // all-reduce flavors (no root hotspot at all), the radix tree
         // merges toward rank zero and broadcasts the merged image back
-        // down. The classic path all-reduces the flat frame elementwise.
+        // down. The classic path all-reduces the flat frame elementwise
+        // into dense_buffer and rebuilds epoch_agg from it.
         if (in_global && wire_images) {
           if constexpr (WireSerializable<Frame>) {
             mpisim::Comm& global =
@@ -585,27 +623,33 @@ EngineResult<Frame> run_epochs(mpisim::Comm* world, const Frame& prototype,
             }
           }
         } else if (in_global) {
-          if constexpr (DenseReducible<Frame>) {
-            mpisim::Comm& global =
-                hierarchy.active() ? hierarchy.global() : *world;
-            const std::span<const std::uint64_t> send(snapshot.raw());
-            run_aggregation(
-                global, [&] { global.allreduce(send, epoch_agg.raw()); },
-                [&] { return global.iallreduce(send, epoch_agg.raw()); });
-          }
+          mpisim::Comm& global =
+              hierarchy.active() ? hierarchy.global() : *world;
+          const std::span<const std::uint64_t> send(snapshot.raw());
+          const std::span<std::uint64_t> recv(dense_buffer);
+          run_aggregation(
+              global, [&] { global.allreduce(send, recv); },
+              [&] { return global.iallreduce(send, recv); });
+          epoch_agg.clear();
+          epoch_agg.add_dense(dense_buffer);
         }
 
         // Two-level downward leg: leaders now hold the global aggregate;
         // redistribute it over the intra-node communicator so non-leader
         // ranks hold it too (wire image when the frame serializes under
-        // this representation, flat frame broadcast otherwise).
+        // this representation; otherwise the leader's dense_buffer, which
+        // still holds the all-reduced vector, as a flat broadcast).
         if (hierarchy.active()) {
           result.phases.timed(Phase::kBroadcast, [&] {
             if (wire_images) {
               distribute_image(hierarchy.node());
-            } else if constexpr (DenseReducible<Frame>) {
+            } else {
               distribute(hierarchy.node(),
-                         std::span<std::uint64_t>(epoch_agg.raw()));
+                         std::span<std::uint64_t>(dense_buffer));
+              if (!in_global) {
+                epoch_agg.clear();
+                epoch_agg.add_dense(dense_buffer);
+              }
             }
           });
         }

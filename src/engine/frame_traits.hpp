@@ -1,17 +1,20 @@
 // Compile-time classification of frame types for the engine's pluggable
 // frame-representation layer.
 //
-// The engine accepts any Frame with clear()/merge(); how an epoch snapshot
-// crosses the wire depends on what else the frame offers:
-//   * DenseReducible  - a mutable flat raw() span: eligible for the classic
-//     elementwise MPI reduction (the paper's §III-B/§IV-F wire format).
-//   * WireSerializable - the frame_codec encode()/decode_add() contract:
-//     eligible for the variable-length image path (sparse delta frames,
-//     auto-densifying payloads, the communicator's reduce_merge path).
-// StateFrame satisfies both (the frame_rep knob picks); SparseFrame is
-// serializable only (its dense view is read-only, so the elementwise path
-// cannot bypass its touched-set bookkeeping); minimal test frames are
-// dense-reducible only and always take the classic path.
+// The engine accepts any Frame with clear()/merge() that is:
+//   * DenseReducible  - a const flat raw() view plus add_dense(): the
+//     classic elementwise MPI reduction (the paper's §III-B/§IV-F wire
+//     format). The engine reduces the const view into a scratch vector and
+//     adds the result back through add_dense() on a cleared frame; it
+//     never writes through raw(), so frames that keep bookkeeping beside
+//     their counts (epoch::SparseFrame's touched set) stay consistent.
+// A frame that is also
+//   * WireSerializable - the frame_codec encode()/decode_add() contract -
+//     can take the variable-length image path instead (sparse delta
+//     frames, auto-densifying payloads, the communicator's reduce_merge
+//     path) when the frame_rep knob asks for it.
+// epoch::SparseFrame and the adaptive estimators' frames are both; minimal
+// test frames are dense-reducible only and always take the classic path.
 #pragma once
 
 #include <concepts>
@@ -24,8 +27,10 @@
 namespace distbc::engine {
 
 template <typename Frame>
-concept DenseReducible = requires(Frame frame) {
-  { frame.raw() } -> std::convertible_to<std::span<std::uint64_t>>;
+concept DenseReducible = requires(const Frame cframe, Frame frame,
+                                  std::span<const std::uint64_t> dense) {
+  { cframe.raw() } -> std::convertible_to<std::span<const std::uint64_t>>;
+  frame.add_dense(dense);
 };
 
 template <typename Frame>
@@ -56,17 +61,10 @@ template <typename Frame>
 }
 
 /// Whether a run with `rep` moves wire images (variable-length path) for
-/// this frame type; frames without a mutable dense view always do.
+/// this frame type instead of the dense elementwise reduction.
 template <typename Frame>
 [[nodiscard]] constexpr bool uses_wire_images(epoch::FrameRep rep) {
-  if constexpr (!WireSerializable<Frame>) {
-    return false;
-  } else if constexpr (!DenseReducible<Frame>) {
-    (void)rep;
-    return true;
-  } else {
-    return rep != epoch::FrameRep::kDense;
-  }
+  return WireSerializable<Frame> && rep != epoch::FrameRep::kDense;
 }
 
 }  // namespace distbc::engine

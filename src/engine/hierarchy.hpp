@@ -8,13 +8,13 @@
 // participants at the cost of one cheap intra-node window pass.
 //
 // The window itself is always the dense flat frame; what varies is how a
-// rank's snapshot enters it. Dense-reducible frames accumulate their whole
-// raw() span (the original path). Wire-serializable frames under a sparse
-// representation scatter-add their encoded delta pairs, so the intra-node
-// pass moves O(nonzeros); the leader then re-reads the dense node aggregate
-// and ships whatever encoding the global representation policy picks -
-// typically dense, since the node aggregate is the union of its ranks'
-// deltas ("only leaders ship dense data when that is cheaper").
+// rank's snapshot enters it. Under the dense representation a rank
+// accumulates its frame's whole raw() view (the original path). Under a
+// sparse representation it scatter-adds its encoded delta pairs, so the
+// intra-node pass moves O(nonzeros); the leader then re-reads the dense
+// node aggregate and ships whatever encoding the global representation
+// policy picks - typically dense, since the node aggregate is the union of
+// its ranks' deltas ("only leaders ship dense data when that is cheaper").
 #pragma once
 
 #include <cstdint>
@@ -60,23 +60,12 @@ class Hierarchy {
     if constexpr (WireSerializable<Frame>) {
       if (uses_wire_images<Frame>(rep)) return pre_reduce_images(frame, rep);
     }
-    if constexpr (DenseReducible<Frame>) {
-      return pre_reduce(std::span<std::uint64_t>(frame.raw()));
-    } else {
-      DISTBC_ASSERT_MSG(false, "frame supports no pre-reduction path");
-      return false;
-    }
-  }
-
-  /// The dense primitive: pre-reduces a flat frame over the window.
-  [[nodiscard]] bool pre_reduce(std::span<std::uint64_t> frame) {
-    DISTBC_ASSERT(active_);
-    window_->accumulate(std::span<const std::uint64_t>(frame));
+    window_->accumulate(std::span<const std::uint64_t>(frame.raw()));
     local_.barrier();
     const bool leader = local_.rank() == 0;
     if (leader) {
-      window_->read(frame);
-      window_->clear();
+      frame.clear();
+      add_window(frame);
     }
     local_.barrier();
     return leader;
@@ -138,15 +127,22 @@ class Hierarchy {
         window_->clear_touched();
       } else {
         // A dense accumulate filled the window: pay the O(V) read-back.
-        if (scratch_.size() != window_->size())
-          scratch_.assign(window_->size(), 0);
-        window_->read(std::span<std::uint64_t>(scratch_));
-        window_->clear();
-        frame.add_dense(scratch_);
+        add_window(frame);
       }
     }
     local_.barrier();
     return leader;
+  }
+
+  /// The leader's dense read-back: adds the whole window to `frame` and
+  /// clears the window for the next epoch.
+  template <typename Frame>
+  void add_window(Frame& frame) {
+    if (scratch_.size() != window_->size())
+      scratch_.assign(window_->size(), 0);
+    window_->read(std::span<std::uint64_t>(scratch_));
+    window_->clear();
+    frame.add_dense(scratch_);
   }
 
   mpisim::Comm local_;

@@ -1,4 +1,4 @@
 #include "epoch/epoch_manager.hpp"
 
 // EpochManager is a header-only template; the instantiation for the
-// betweenness StateFrame lives in state_frame.cpp.
+// betweenness SparseFrame lives in sparse_frame.cpp.

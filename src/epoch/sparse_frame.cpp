@@ -1,8 +1,7 @@
 #include "epoch/sparse_frame.hpp"
 
 // SparseFrame is header-only; this translation unit instantiates its
-// EpochManager so representation-specific template errors surface at
-// library build time (mirrors state_frame.cpp).
+// EpochManager so template errors surface at library build time.
 #include "epoch/epoch_manager.hpp"
 
 namespace distbc::epoch {

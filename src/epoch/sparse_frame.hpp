@@ -1,17 +1,19 @@
-// Sparse betweenness state frames (the delta representation of §III-B's
-// S = (tau, c~)).
+// The betweenness state frame (paper §III-B): S = (tau, c~), the number of
+// samples taken and the per-vertex path counts accumulated by one thread
+// during one epoch.
 //
-// An epoch on a large graph records only epoch_length x avg_path_length
-// distinct vertex hits, so the dense |V|+1 frame that ships over the wire
-// is overwhelmingly zeros and aggregation cost scales with |V| instead of
-// with work done. SparseFrame keeps the same O(1) record() hot path as
-// StateFrame (dense uint64 backing) but additionally tracks the set of
-// touched vertices, which makes clear()/merge() O(nonzeros) and lets
-// encode() emit sorted (index, count) delta pairs instead of the flat
-// vector. Decoding is additive, so overlapping deltas from different
-// threads or ranks merge exactly like dense elementwise sums - in the
-// engine's deterministic mode the aggregate is bitwise identical across
-// representations.
+// The counts live in one dense flat uint64 array with tau in the last
+// slot, so record() is an O(1) increment per path vertex and raw() is the
+// paper's counts-then-tau vector, which the engine aggregates as one
+// elementwise reduction (FrameRep::kDense). An epoch on a large graph
+// records only epoch_length x avg_path_length distinct vertex hits,
+// though, so that vector is overwhelmingly zeros. The frame therefore also
+// tracks the set of touched vertices, which makes clear()/merge()
+// O(nonzeros) and lets encode() emit sorted (index, count) delta pairs
+// instead of the flat vector. Decoding is additive, so overlapping deltas
+// from different threads or ranks merge exactly like dense elementwise
+// sums - in the engine's deterministic mode the aggregate is bitwise
+// identical across wire representations.
 //
 // The densify threshold governs the kAuto encoding: pairs are emitted only
 // while the sparse image stays under threshold x the dense image; past the
@@ -43,7 +45,7 @@ class SparseFrame {
   [[nodiscard]] double densify_threshold() const { return densify_threshold_; }
 
   /// Records one sample: increments tau and the count of every internal
-  /// vertex of the sampled path (same contract as StateFrame::record).
+  /// vertex of the sampled path (possibly none for adjacent endpoints).
   void record(std::span<const std::uint32_t> internal_vertices) {
     for (const std::uint32_t v : internal_vertices) {
       DISTBC_DEBUG_ASSERT(v < num_vertices_);
@@ -51,6 +53,20 @@ class SparseFrame {
       ++data_[v];
     }
     ++data_[num_vertices_];
+  }
+
+  /// The exact inverse of record(): takes back one previously recorded
+  /// sample (an empty span takes back a record_empty()). Slots that drop
+  /// to zero stay in the touched set, so afterwards nonzero_count() and
+  /// the sparse image may cover a superset of the nonzero slots; counts,
+  /// tau and count_sum() are exact.
+  void unrecord(std::span<const std::uint32_t> internal_vertices) {
+    for (const std::uint32_t v : internal_vertices) {
+      DISTBC_DEBUG_ASSERT(v < num_vertices_ && data_[v] > 0);
+      --data_[v];
+    }
+    DISTBC_ASSERT(data_[num_vertices_] > 0);
+    --data_[num_vertices_];
   }
 
   /// Records a sample of a disconnected pair: tau advances, no counts.
@@ -63,12 +79,14 @@ class SparseFrame {
   }
   [[nodiscard]] bool empty() const { return tau() == 0; }
 
-  /// Distinct vertices with nonzero counts.
+  /// Distinct touched vertices: exactly the nonzero slots, unless
+  /// unrecord() has since zeroed some of them.
   [[nodiscard]] std::size_t nonzero_count() const { return touched_.size(); }
 
   /// Dense flat view (counts followed by tau). Read-only: writes that
-  /// bypass record()/merge()/decode_add() would desynchronize the touched
-  /// set, so dense reducers must go through the wire-image interface.
+  /// bypass record()/merge()/decode_add()/add_dense() would desynchronize
+  /// the touched set, so dense reducers reduce this view into a buffer and
+  /// add the result back through add_dense().
   [[nodiscard]] std::span<const std::uint64_t> raw() const { return data_; }
 
   /// O(nonzeros): only touched slots (and tau) are swept.
@@ -129,9 +147,9 @@ class SparseFrame {
                      });
   }
 
-  /// Elementwise add of a flat dense frame (window read-back at node
-  /// leaders). O(V) - the leader pays one scan per epoch, same as the
-  /// window read itself.
+  /// Elementwise add of a flat dense frame (the result of a dense
+  /// reduction or window read-back). O(V) - the same order as the dense
+  /// reduction that produced it.
   void add_dense(std::span<const std::uint64_t> dense) {
     DISTBC_ASSERT(dense.size() == data_.size());
     for (std::uint32_t v = 0; v < num_vertices_; ++v) {
@@ -142,7 +160,9 @@ class SparseFrame {
     data_[num_vertices_] += dense[num_vertices_];
   }
 
-  /// Same consistency invariant as StateFrame (O(nonzeros) here).
+  /// Consistency invariant: a path contributes at most (its length - 1) <
+  /// num_vertices counts, and no samples means no counts. O(nonzeros);
+  /// a cheap sanity check for tests and debug assertions.
   [[nodiscard]] bool counts_consistent() const {
     const std::uint64_t total = count_sum();
     return tau() == 0 ? total == 0

@@ -99,7 +99,10 @@ class UnitFrame {
   void merge(const UnitFrame& other) {
     for (std::size_t i = 0; i < data_.size(); ++i) data_[i] += other.data_[i];
   }
-  [[nodiscard]] std::span<std::uint64_t> raw() { return data_; }
+  [[nodiscard]] std::span<const std::uint64_t> raw() const { return data_; }
+  void add_dense(std::span<const std::uint64_t> dense) {
+    for (std::size_t i = 0; i < data_.size(); ++i) data_[i] += dense[i];
+  }
   [[nodiscard]] std::uint64_t units() const { return data_[0]; }
   void add_unit() { ++data_[0]; }
 

@@ -4,7 +4,6 @@
 
 #include "bc/brandes.hpp"
 #include "bc/kadabra.hpp"
-#include "bc/lockstep.hpp"
 #include "bc/rk.hpp"
 #include "gen/erdos_renyi.hpp"
 #include "gen/rmat.hpp"
@@ -140,11 +139,20 @@ TEST(KadabraMpi, IreduceStrategy) {
 TEST(KadabraMpi, BlockingStrategy) {
   const Graph graph = social_graph();
   const BcResult exact = brandes(graph);
-  KadabraOptions options;
-  options.params = loose_params();
-  options.engine.aggregation = Aggregation::kBlocking;
-  const BcResult approx = kadabra_mpi(graph, options, 3);
-  EXPECT_LE(approx.max_abs_difference(exact), 0.1);
+  // Free-running, and the paper's §III-B lockstep baseline: deterministic
+  // (exact per-stream shares, no overlap samples, threads wait at every
+  // transition) with blocking collectives on every leg.
+  for (const bool deterministic : {false, true}) {
+    KadabraOptions options;
+    options.params = loose_params();
+    options.engine.aggregation = Aggregation::kBlocking;
+    options.engine.deterministic = deterministic;
+    options.engine.threads_per_rank = deterministic ? 2 : 1;
+    const BcResult approx = kadabra_mpi(graph, options, 3);
+    EXPECT_LE(approx.max_abs_difference(exact), 0.1)
+        << "deterministic=" << deterministic;
+    EXPECT_GT(approx.epochs, 0u);
+  }
 }
 
 TEST(KadabraMpi, HierarchicalAggregation) {
@@ -182,17 +190,6 @@ TEST(KadabraMpi, PhaseBreakdownPopulated) {
   EXPECT_GE(result.phases.seconds(Phase::kBarrier), 0.0);
   EXPECT_GT(result.phases.seconds(Phase::kReduction), 0.0);
   EXPECT_GT(result.phases.seconds(Phase::kStopCheck), 0.0);
-}
-
-TEST(Lockstep, WithinEpsilonOfExact) {
-  const Graph graph = social_graph();
-  const BcResult exact = brandes(graph);
-  LockstepOptions options;
-  options.params = loose_params();
-  options.threads_per_rank = 2;
-  const BcResult approx = lockstep_mpi(graph, options, /*num_ranks=*/3);
-  EXPECT_LE(approx.max_abs_difference(exact), 0.1);
-  EXPECT_GT(approx.epochs, 0u);
 }
 
 TEST(Rk, WithinEpsilonOfExact) {

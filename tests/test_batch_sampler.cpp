@@ -15,7 +15,7 @@
 #include <vector>
 
 #include "bc/sampler.hpp"
-#include "epoch/state_frame.hpp"
+#include "epoch/sparse_frame.hpp"
 #include "gen/erdos_renyi.hpp"
 #include "graph/bfs.hpp"
 #include "graph/bidirectional_bfs.hpp"
@@ -29,8 +29,8 @@ using graph::from_edges;
 using graph::Graph;
 using graph::Vertex;
 
-void expect_frames_equal(const epoch::StateFrame& a,
-                         const epoch::StateFrame& b, const char* label) {
+void expect_frames_equal(const epoch::SparseFrame& a,
+                         const epoch::SparseFrame& b, const char* label) {
   ASSERT_EQ(a.raw().size(), b.raw().size()) << label;
   for (std::size_t i = 0; i < a.raw().size(); ++i)
     ASSERT_EQ(a.raw()[i], b.raw()[i]) << label << " slot " << i;
@@ -39,7 +39,7 @@ void expect_frames_equal(const epoch::StateFrame& a,
 /// `streams` samplers on streams Rng(seed).split(0..streams), all sharing
 /// one kernel, sampled round-robin (one sample per stream per round) -
 /// the interleaving that stresses kernel reuse hardest.
-epoch::StateFrame sample_shared_round_robin(const Graph& graph,
+epoch::SparseFrame sample_shared_round_robin(const Graph& graph,
                                             std::uint64_t seed, int streams,
                                             int per_stream) {
   const auto kernel =
@@ -48,7 +48,7 @@ epoch::StateFrame sample_shared_round_robin(const Graph& graph,
   for (int v = 0; v < streams; ++v)
     samplers.emplace_back(graph, Rng(seed).split(static_cast<std::uint64_t>(v)),
                           kernel);
-  epoch::StateFrame frame(graph.num_vertices());
+  epoch::SparseFrame frame(graph.num_vertices());
   for (int i = 0; i < per_stream; ++i)
     for (PathSampler& sampler : samplers) sampler.sample(frame);
   return frame;
@@ -56,10 +56,10 @@ epoch::StateFrame sample_shared_round_robin(const Graph& graph,
 
 /// The same streams, each with a private kernel, sampled stream after
 /// stream.
-epoch::StateFrame sample_private_in_order(const Graph& graph,
+epoch::SparseFrame sample_private_in_order(const Graph& graph,
                                           std::uint64_t seed, int streams,
                                           int per_stream) {
-  epoch::StateFrame frame(graph.num_vertices());
+  epoch::SparseFrame frame(graph.num_vertices());
   for (int v = 0; v < streams; ++v) {
     PathSampler sampler(graph, Rng(seed).split(static_cast<std::uint64_t>(v)));
     for (int i = 0; i < per_stream; ++i) sampler.sample(frame);
@@ -73,9 +73,9 @@ TEST(PathSampler, SharedKernelPreservesEveryStreamSequence) {
   // samplers on the same streams.
   const Graph graph =
       graph::largest_component(gen::erdos_renyi(600, 1500, 21));
-  const epoch::StateFrame shared =
+  const epoch::SparseFrame shared =
       sample_shared_round_robin(graph, 5, /*streams=*/4, /*per_stream=*/300);
-  const epoch::StateFrame reference =
+  const epoch::SparseFrame reference =
       sample_private_in_order(graph, 5, /*streams=*/4, /*per_stream=*/300);
   EXPECT_EQ(shared.tau(), 1200u);
   expect_frames_equal(reference, shared, "shared vs private kernels");
@@ -92,9 +92,9 @@ TEST(PathSampler, SharedKernelHandlesDisconnectedPairs) {
     edges.push_back({10 + i, 10 + i + 1});
   }
   const Graph graph = from_edges(20, edges);
-  const epoch::StateFrame shared =
+  const epoch::SparseFrame shared =
       sample_shared_round_robin(graph, 11, /*streams=*/3, /*per_stream=*/200);
-  const epoch::StateFrame reference =
+  const epoch::SparseFrame reference =
       sample_private_in_order(graph, 11, /*streams=*/3, /*per_stream=*/200);
   EXPECT_EQ(shared.tau(), 600u);
   // Both connected (counts recorded) and disconnected (tau-only) samples
@@ -182,7 +182,7 @@ TEST(PathSampler, ObserverSeesEveryRecordedSample) {
   CheckingObserver observer(graph);
   PathSampler sampler(graph, Rng(17));
   sampler.set_observer(&observer);
-  epoch::StateFrame frame(n);
+  epoch::SparseFrame frame(n);
   for (int i = 0; i < 3000; ++i) sampler.sample(frame);
   EXPECT_EQ(observer.samples, frame.tau());
   EXPECT_EQ(observer.interior, frame.count_sum());

@@ -7,7 +7,7 @@
 #include "bc/kadabra.hpp"
 #include "bc/rk.hpp"
 #include "epoch/epoch_manager.hpp"
-#include "epoch/state_frame.hpp"
+#include "epoch/sparse_frame.hpp"
 #include "gen/erdos_renyi.hpp"
 #include "graph/bidirectional_bfs.hpp"
 #include "graph/builder.hpp"
@@ -141,9 +141,9 @@ TEST(EdgeCaseDeath, KadabraRejectsDisconnectedInput) {
 }
 
 TEST(EdgeCaseDeath, CollectRequiresCompletedTransition) {
-  epoch::EpochManager<epoch::StateFrame> manager(2, epoch::StateFrame(4));
+  epoch::EpochManager<epoch::SparseFrame> manager(2, epoch::SparseFrame(4));
   manager.force_transition(0);  // thread 1 never participates
-  epoch::StateFrame aggregate(4);
+  epoch::SparseFrame aggregate(4);
   EXPECT_DEATH(manager.collect(0, aggregate), "transition_done");
 }
 
@@ -153,8 +153,8 @@ TEST(EdgeCaseDeath, BuilderRejectsOutOfRangeVertices) {
 }
 
 TEST(EdgeCaseDeath, FrameMergeRejectsSizeMismatch) {
-  epoch::StateFrame a(4);
-  epoch::StateFrame b(5);
+  epoch::SparseFrame a(4);
+  epoch::SparseFrame b(5);
   EXPECT_DEATH(a.merge(b), "size");
 }
 

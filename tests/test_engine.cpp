@@ -7,7 +7,9 @@
 #include <gtest/gtest.h>
 
 #include <bit>
+#include <memory>
 #include <string>
+#include <vector>
 
 #include "adaptive/mean_distance.hpp"
 #include "bc/kadabra.hpp"
@@ -45,13 +47,29 @@ TEST(Streams, OwnerIsGlobalThreadIndexModuloThreads) {
   EXPECT_EQ(engine::stream_owner(6, 4), 2u);
 }
 
+TEST(Streams, ThreadWorkspacesShareOneWorkspacePerThread) {
+  // 2 ranks x 2 threads: stream v runs on global thread v mod 4, which is
+  // local thread (v mod 4) mod 2 of its rank.
+  engine::EngineOptions options;
+  options.threads_per_rank = 2;
+  engine::ThreadWorkspaces<std::vector<int>> workspaces(16);
+  const auto first = workspaces.for_stream(0, options, 2);
+  EXPECT_EQ(first->size(), 16u);
+  EXPECT_EQ(workspaces.for_stream(2, options, 2), first);
+  EXPECT_EQ(workspaces.for_stream(6, options, 2), first);
+  const auto second = workspaces.for_stream(1, options, 2);
+  EXPECT_NE(second, first);
+  EXPECT_EQ(workspaces.for_stream(7, options, 2), second);
+}
+
 // --- Calibration hook ------------------------------------------------------
 
 struct CountFrame {
   std::vector<std::uint64_t> data{0};
   void clear() { data[0] = 0; }
   void merge(const CountFrame& other) { data[0] += other.data[0]; }
-  [[nodiscard]] std::span<std::uint64_t> raw() { return data; }
+  [[nodiscard]] std::span<const std::uint64_t> raw() const { return data; }
+  void add_dense(std::span<const std::uint64_t> dense) { data[0] += dense[0]; }
 };
 
 struct CountSampler {

@@ -1,5 +1,6 @@
-// Tests for the epoch-based framework: state frames, transition semantics,
-// double-buffer reuse, and a multi-threaded no-lost-samples stress test.
+// Tests for the epoch-based framework: the state frame layout, transition
+// semantics, double-buffer reuse, and a multi-threaded no-lost-samples
+// stress test.
 #include <gtest/gtest.h>
 
 #include <atomic>
@@ -7,25 +8,15 @@
 #include <vector>
 
 #include "epoch/epoch_manager.hpp"
-#include "epoch/state_frame.hpp"
+#include "epoch/sparse_frame.hpp"
 
 namespace distbc::epoch {
 namespace {
 
-TEST(StateFrame, RecordsTauAndCounts) {
-  StateFrame frame(5);
-  const std::vector<std::uint32_t> path{1, 3};
-  frame.record(path);
-  frame.record_empty();
-  EXPECT_EQ(frame.tau(), 2u);
-  EXPECT_EQ(frame.count(1), 1u);
-  EXPECT_EQ(frame.count(3), 1u);
-  EXPECT_EQ(frame.count(0), 0u);
-  EXPECT_TRUE(frame.counts_consistent());
-}
-
-TEST(StateFrame, RawLayoutIsCountsThenTau) {
-  StateFrame frame(3);
+// Frame semantics beyond the raw layout (record, merge, clear) are covered
+// in test_sparse_frame.
+TEST(SparseFrame, RawLayoutIsCountsThenTau) {
+  SparseFrame frame(3);
   frame.record(std::vector<std::uint32_t>{2});
   const auto raw = frame.raw();
   ASSERT_EQ(raw.size(), 4u);
@@ -33,30 +24,8 @@ TEST(StateFrame, RawLayoutIsCountsThenTau) {
   EXPECT_EQ(raw[3], 1u);  // tau in the last slot
 }
 
-TEST(StateFrame, MergeIsElementwiseSum) {
-  StateFrame a(4);
-  StateFrame b(4);
-  a.record(std::vector<std::uint32_t>{0, 1});
-  b.record(std::vector<std::uint32_t>{1, 2});
-  b.record_empty();
-  a.merge(b);
-  EXPECT_EQ(a.tau(), 3u);
-  EXPECT_EQ(a.count(0), 1u);
-  EXPECT_EQ(a.count(1), 2u);
-  EXPECT_EQ(a.count(2), 1u);
-}
-
-TEST(StateFrame, ClearZeroesEverything) {
-  StateFrame frame(4);
-  frame.record(std::vector<std::uint32_t>{0, 1, 2});
-  frame.clear();
-  EXPECT_EQ(frame.tau(), 0u);
-  EXPECT_TRUE(frame.empty());
-  for (std::uint32_t v = 0; v < 4; ++v) EXPECT_EQ(frame.count(v), 0u);
-}
-
 TEST(EpochManager, SingleThreadTransitionIsImmediate) {
-  EpochManager<StateFrame> manager(1, StateFrame(4));
+  EpochManager<SparseFrame> manager(1, SparseFrame(4));
   EXPECT_FALSE(manager.transition_done(0));  // not yet forced
   manager.force_transition(0);
   EXPECT_TRUE(manager.transition_done(0));
@@ -65,13 +34,13 @@ TEST(EpochManager, SingleThreadTransitionIsImmediate) {
 }
 
 TEST(EpochManager, CheckTransitionIsNoOpWithoutForce) {
-  EpochManager<StateFrame> manager(2, StateFrame(4));
+  EpochManager<SparseFrame> manager(2, SparseFrame(4));
   EXPECT_FALSE(manager.check_transition(1, 0));
   EXPECT_EQ(manager.thread_epoch(1), 0u);
 }
 
 TEST(EpochManager, CheckTransitionParticipates) {
-  EpochManager<StateFrame> manager(2, StateFrame(4));
+  EpochManager<SparseFrame> manager(2, SparseFrame(4));
   manager.force_transition(0);
   EXPECT_FALSE(manager.transition_done(0));  // thread 1 lagging
   EXPECT_TRUE(manager.check_transition(1, 0));
@@ -80,21 +49,21 @@ TEST(EpochManager, CheckTransitionParticipates) {
 }
 
 TEST(EpochManager, FrameSelectionAlternatesByParity) {
-  EpochManager<StateFrame> manager(1, StateFrame(4));
-  StateFrame& even = manager.frame(0, 0);
-  StateFrame& odd = manager.frame(0, 1);
+  EpochManager<SparseFrame> manager(1, SparseFrame(4));
+  SparseFrame& even = manager.frame(0, 0);
+  SparseFrame& odd = manager.frame(0, 1);
   EXPECT_NE(&even, &odd);
   EXPECT_EQ(&even, &manager.frame(0, 2));  // reuse two epochs later
 }
 
 TEST(EpochManager, CollectMergesAndClears) {
-  EpochManager<StateFrame> manager(2, StateFrame(4));
+  EpochManager<SparseFrame> manager(2, SparseFrame(4));
   manager.frame(0, 0).record(std::vector<std::uint32_t>{1});
   manager.frame(1, 0).record(std::vector<std::uint32_t>{1, 2});
   manager.force_transition(0);
   ASSERT_TRUE(manager.check_transition(1, 0));
 
-  StateFrame aggregate(4);
+  SparseFrame aggregate(4);
   manager.collect(0, aggregate);
   EXPECT_EQ(aggregate.tau(), 2u);
   EXPECT_EQ(aggregate.count(1), 2u);
@@ -103,7 +72,7 @@ TEST(EpochManager, CollectMergesAndClears) {
 }
 
 TEST(EpochManager, StopFlagPropagates) {
-  EpochManager<StateFrame> manager(3, StateFrame(2));
+  EpochManager<SparseFrame> manager(3, SparseFrame(2));
   EXPECT_FALSE(manager.stopped());
   manager.signal_stop();
   EXPECT_TRUE(manager.stopped());
@@ -116,7 +85,7 @@ TEST(EpochManager, StressNoLostSamples) {
   constexpr int kThreads = 8;     // sampler threads 1..7 plus thread 0
   constexpr int kEpochs = 60;
   constexpr std::uint32_t kVertices = 16;
-  EpochManager<StateFrame> manager(kThreads, StateFrame(kVertices));
+  EpochManager<SparseFrame> manager(kThreads, SparseFrame(kVertices));
 
   std::vector<std::uint64_t> produced(kThreads, 0);
   std::vector<std::thread> workers;
@@ -136,7 +105,7 @@ TEST(EpochManager, StressNoLostSamples) {
     });
   }
 
-  StateFrame aggregate(kVertices);
+  SparseFrame aggregate(kVertices);
   std::vector<std::uint32_t> zero_path{0};
   std::uint64_t thread0_produced = 0;
   for (std::uint32_t epoch = 0; epoch < kEpochs; ++epoch) {
@@ -170,7 +139,7 @@ TEST(EpochManager, StressNoLostSamples) {
 // Samplers never block: even if thread zero never forces a transition,
 // sampler threads keep making progress.
 TEST(EpochManager, SamplersProgressWithoutTransitions) {
-  EpochManager<StateFrame> manager(2, StateFrame(2));
+  EpochManager<SparseFrame> manager(2, SparseFrame(2));
   std::atomic<std::uint64_t> recorded{0};
   std::thread sampler([&] {
     std::vector<std::uint32_t> path{1};

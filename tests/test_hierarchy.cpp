@@ -1,7 +1,7 @@
 // Edge-case tests for engine/hierarchy.hpp (§IV-E node-local RMA
 // pre-reduction): rank counts not divisible by the node size, single-node
 // clusters, and the hierarchy combined with every §IV-F aggregation
-// strategy - checked both directly on the node window (dense spans and
+// strategy - checked both directly on the node window (dense frames and
 // sparse delta images) and end-to-end through deterministic KADABRA runs.
 #include <gtest/gtest.h>
 
@@ -19,9 +19,10 @@
 namespace distbc {
 namespace {
 
-/// Runs the §IV-E pre-reduction directly: every rank pre-reduces a frame of
-/// (rank + 1) values; node leaders then reduce over the leader
-/// communicator. Returns the world total seen at world rank 0.
+/// Runs the §IV-E dense pre-reduction directly: every rank pre-reduces a
+/// frame of `frame_words` slots holding (rank + 1) each; node leaders then
+/// reduce over the leader communicator. Returns the world total seen at
+/// world rank 0.
 std::vector<std::uint64_t> hierarchical_total(int num_ranks,
                                               int ranks_per_node,
                                               std::size_t frame_words) {
@@ -38,14 +39,15 @@ std::vector<std::uint64_t> hierarchical_total(int num_ranks,
     hierarchy.init(world, frame_words);
     ASSERT_TRUE(hierarchy.active());
 
-    std::vector<std::uint64_t> frame(
-        frame_words, static_cast<std::uint64_t>(world.rank()) + 1);
-    const bool leader = hierarchy.pre_reduce(frame);
+    epoch::SparseFrame frame(static_cast<std::uint32_t>(frame_words - 1));
+    frame.add_dense(std::vector<std::uint64_t>(
+        frame_words, static_cast<std::uint64_t>(world.rank()) + 1));
+    const bool leader = hierarchy.pre_reduce(frame, epoch::FrameRep::kDense);
     // Exactly the leaders join the global reduction; its rank zero is
     // world rank zero.
     if (leader) {
       std::vector<std::uint64_t> total(frame_words, 0);
-      hierarchy.global().reduce(std::span<const std::uint64_t>(frame),
+      hierarchy.global().reduce(frame.raw(),
                                 std::span<std::uint64_t>(total), 0);
       if (world.rank() == 0) {
         std::lock_guard lock(mu);

@@ -9,7 +9,7 @@
 #include "bc/kadabra_context.hpp"
 #include "bc/kadabra_math.hpp"
 #include "engine/streams.hpp"
-#include "epoch/state_frame.hpp"
+#include "epoch/sparse_frame.hpp"
 
 namespace distbc::bc {
 namespace {
@@ -161,11 +161,11 @@ TEST(Context, StopNotSatisfiedOnEmptyState) {
   KadabraParams params;
   params.epsilon = 0.05;
   KadabraContext context = begin_context(params, 10);
-  epoch::StateFrame initial(4);
+  epoch::SparseFrame initial(4);
   for (int i = 0; i < 100; ++i) initial.record_empty();
   finish_calibration(context, initial);
 
-  epoch::StateFrame aggregate(4);
+  epoch::SparseFrame aggregate(4);
   EXPECT_FALSE(context.stop_satisfied(aggregate));
 }
 
@@ -173,11 +173,11 @@ TEST(Context, StopSatisfiedAtOmega) {
   KadabraParams params;
   params.epsilon = 0.05;
   KadabraContext context = begin_context(params, 10);
-  epoch::StateFrame initial(4);
+  epoch::SparseFrame initial(4);
   for (int i = 0; i < 100; ++i) initial.record_empty();
   finish_calibration(context, initial);
 
-  epoch::StateFrame aggregate(4);
+  epoch::SparseFrame aggregate(4);
   for (std::uint64_t i = 0; i < context.omega; ++i) aggregate.record_empty();
   EXPECT_TRUE(context.stop_satisfied(aggregate));
 }
@@ -188,11 +188,11 @@ TEST(Context, StopEventuallySatisfiedBeforeOmegaOnEasyState) {
   KadabraParams params;
   params.epsilon = 0.1;
   KadabraContext context = begin_context(params, 8);
-  epoch::StateFrame initial(4);
+  epoch::SparseFrame initial(4);
   for (int i = 0; i < 200; ++i) initial.record_empty();
   finish_calibration(context, initial);
 
-  epoch::StateFrame aggregate(4);
+  epoch::SparseFrame aggregate(4);
   bool stopped_early = false;
   for (std::uint64_t i = 0; i < context.omega; i += 50) {
     for (int k = 0; k < 50; ++k) aggregate.record_empty();

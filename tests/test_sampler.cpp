@@ -26,7 +26,7 @@ using graph::Vertex;
 TEST(PathSampler, TauAdvancesOncePerSample) {
   const Graph graph = from_edges(4, {{0, 1}, {1, 2}, {2, 3}});
   PathSampler sampler(graph, Rng(1));
-  epoch::StateFrame frame(graph.num_vertices());
+  epoch::SparseFrame frame(graph.num_vertices());
   for (int i = 0; i < 500; ++i) sampler.sample(frame);
   EXPECT_EQ(frame.tau(), 500u);
   EXPECT_EQ(sampler.samples_taken(), 500u);
@@ -38,7 +38,7 @@ TEST(PathSampler, EstimatesAreUnbiasedOnPath) {
   // b(1) = b(2); 40k samples pin the estimate to ~1% absolute.
   const Graph graph = from_edges(4, {{0, 1}, {1, 2}, {2, 3}});
   PathSampler sampler(graph, Rng(2));
-  epoch::StateFrame frame(graph.num_vertices());
+  epoch::SparseFrame frame(graph.num_vertices());
   constexpr std::uint64_t kSamples = 40000;
   for (std::uint64_t i = 0; i < kSamples; ++i) sampler.sample(frame);
   const double b1 = static_cast<double>(frame.count(1)) / kSamples;
@@ -54,7 +54,7 @@ TEST(PathSampler, EstimatesMatchBrandesOnRandomGraph) {
       graph::largest_component(gen::erdos_renyi(60, 160, 3));
   const BcResult exact = brandes(graph);
   PathSampler sampler(graph, Rng(4));
-  epoch::StateFrame frame(graph.num_vertices());
+  epoch::SparseFrame frame(graph.num_vertices());
   constexpr std::uint64_t kSamples = 60000;
   for (std::uint64_t i = 0; i < kSamples; ++i) sampler.sample(frame);
   for (Vertex v = 0; v < graph.num_vertices(); ++v) {
@@ -68,7 +68,7 @@ TEST(PathSampler, DisconnectedPairsCountTowardTau) {
   // Two components: cross pairs are disconnected and contribute only tau.
   const Graph graph = from_edges(6, {{0, 1}, {1, 2}, {3, 4}, {4, 5}});
   PathSampler sampler(graph, Rng(5));
-  epoch::StateFrame frame(graph.num_vertices());
+  epoch::SparseFrame frame(graph.num_vertices());
   constexpr std::uint64_t kSamples = 20000;
   for (std::uint64_t i = 0; i < kSamples; ++i) sampler.sample(frame);
   EXPECT_EQ(frame.tau(), kSamples);
@@ -87,8 +87,8 @@ TEST(PathSampler, TwoSamplersWithSameSeedAgree) {
       graph::largest_component(gen::erdos_renyi(80, 200, 6));
   PathSampler a(graph, Rng(7));
   PathSampler b(graph, Rng(7));
-  epoch::StateFrame frame_a(graph.num_vertices());
-  epoch::StateFrame frame_b(graph.num_vertices());
+  epoch::SparseFrame frame_a(graph.num_vertices());
+  epoch::SparseFrame frame_b(graph.num_vertices());
   for (int i = 0; i < 2000; ++i) {
     a.sample(frame_a);
     b.sample(frame_b);
@@ -102,8 +102,8 @@ TEST(PathSampler, SplitStreamsDecorrelate) {
       graph::largest_component(gen::erdos_renyi(80, 200, 8));
   PathSampler a(graph, Rng(9).split(0));
   PathSampler b(graph, Rng(9).split(1));
-  epoch::StateFrame frame_a(graph.num_vertices());
-  epoch::StateFrame frame_b(graph.num_vertices());
+  epoch::SparseFrame frame_a(graph.num_vertices());
+  epoch::SparseFrame frame_b(graph.num_vertices());
   for (int i = 0; i < 2000; ++i) {
     a.sample(frame_a);
     b.sample(frame_b);
@@ -119,7 +119,7 @@ TEST(PathSampler, InteriorMassMatchesPathLengths) {
   // lengths of the sampled paths, which is at most (VD - 2) * tau.
   const Graph graph = from_edges(5, {{0, 1}, {1, 2}, {2, 3}, {3, 4}});
   PathSampler sampler(graph, Rng(10));
-  epoch::StateFrame frame(graph.num_vertices());
+  epoch::SparseFrame frame(graph.num_vertices());
   constexpr std::uint64_t kSamples = 5000;
   for (std::uint64_t i = 0; i < kSamples; ++i) sampler.sample(frame);
   std::uint64_t mass = 0;
@@ -136,7 +136,7 @@ TEST(PathSampler, WorksOnCompleteGraphs) {
     for (Vertex v = u + 1; v < 8; ++v) edges.emplace_back(u, v);
   const Graph graph = from_edges(8, edges);
   PathSampler sampler(graph, Rng(11));
-  epoch::StateFrame frame(graph.num_vertices());
+  epoch::SparseFrame frame(graph.num_vertices());
   for (int i = 0; i < 1000; ++i) sampler.sample(frame);
   for (Vertex v = 0; v < 8; ++v) EXPECT_EQ(frame.count(v), 0u);
   EXPECT_EQ(frame.tau(), 1000u);
@@ -159,7 +159,7 @@ TEST(PathSampler, GoldenFrameOnBarabasiAlbertPinsTheDrawOrder) {
   // selection and path draws must all survive any kernel rework.
   const Graph graph = gen::barabasi_albert(3000, 4, 7);
   PathSampler sampler(graph, Rng(2024).split(5));
-  epoch::StateFrame frame(graph.num_vertices());
+  epoch::SparseFrame frame(graph.num_vertices());
   for (int i = 0; i < 5000; ++i) sampler.sample(frame);
   EXPECT_EQ(frame.tau(), 5000u);
   EXPECT_EQ(frame.count_sum(), 12598u);

@@ -1,17 +1,21 @@
 // Tests for the pluggable frame-representation layer: SparseFrame
 // semantics (touched-set tracking, O(nnz) clear/merge, overlapping
-// deltas, tau-only frames), the wire-image codec (dense and sparse
-// encodings, densify threshold, additive decode), and cross-representation
-// equivalence against StateFrame under random record sequences.
+// deltas, tau-only frames, record/unrecord round trips), the wire-image
+// codec (dense and sparse encodings, densify threshold, additive decode),
+// and equivalence against a plain counter vector under random record
+// sequences.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstdint>
+#include <numeric>
+#include <span>
+#include <utility>
 #include <vector>
 
 #include "epoch/epoch_manager.hpp"
 #include "epoch/frame_codec.hpp"
 #include "epoch/sparse_frame.hpp"
-#include "epoch/state_frame.hpp"
 #include "support/random.hpp"
 
 namespace distbc::epoch {
@@ -151,44 +155,76 @@ TEST(SparseFrame, EncodeDecodeRoundTripsBothRepresentations) {
   }
 }
 
-TEST(SparseFrame, MatchesStateFrameUnderRandomRecording) {
+TEST(SparseFrame, MatchesReferenceCounterUnderRandomRecording) {
+  // Reference: counts then tau in a plain vector, the dense layout.
   Rng rng(1234);
-  StateFrame dense(32);
+  std::vector<std::uint64_t> reference(33, 0);
   SparseFrame sparse(32);
-  std::vector<std::uint32_t> path;
+  std::vector<std::vector<std::uint32_t>> paths;
   for (int sample = 0; sample < 200; ++sample) {
-    path.clear();
+    std::vector<std::uint32_t> path;
     const int internal = static_cast<int>(rng.next_bounded(4));
     for (int i = 0; i < internal; ++i)
       path.push_back(static_cast<std::uint32_t>(rng.next_bounded(32)));
+    for (const std::uint32_t v : path) ++reference[v];
+    ++reference[32];
     if (path.empty()) {
-      dense.record_empty();
       sparse.record_empty();
     } else {
-      dense.record(path);
       sparse.record(path);
     }
+    paths.push_back(std::move(path));
   }
-  EXPECT_EQ(sparse.tau(), dense.tau());
-  EXPECT_EQ(sparse.count_sum(), dense.count_sum());
+  const std::uint64_t reference_sum =
+      std::accumulate(reference.begin(), reference.end() - 1, 0ull);
+  EXPECT_EQ(sparse.tau(), reference[32]);
+  EXPECT_EQ(sparse.count_sum(), reference_sum);
   for (std::uint32_t v = 0; v < 32; ++v)
-    EXPECT_EQ(sparse.count(v), dense.count(v));
+    EXPECT_EQ(sparse.count(v), reference[v]);
+  EXPECT_TRUE(std::equal(reference.begin(), reference.end(),
+                         sparse.raw().begin(), sparse.raw().end()));
 
-  // Cross-representation decode: a sparse image merges into a StateFrame.
+  // A sparse image decodes into the plain dense layout.
   std::vector<std::uint64_t> image;
   sparse.encode(image, FrameRep::kSparse);
-  StateFrame from_image(32);
-  from_image.decode_add(image);
+  std::vector<std::uint64_t> from_image(33, 0);
+  decode_add_image(std::span<std::uint64_t>(from_image), image);
+  EXPECT_EQ(from_image, reference);
+
+  // Record/unrecord round trip: taking back an extra batch of samples
+  // restores tau, every count and count_sum(), even where slots dropped
+  // back to zero.
+  for (std::size_t i = 0; i < 50; ++i) {
+    if (paths[i].empty()) {
+      sparse.record_empty();
+    } else {
+      sparse.record(paths[i]);
+    }
+  }
+  for (std::size_t i = 0; i < 50; ++i) sparse.unrecord(paths[i]);
+  EXPECT_EQ(sparse.tau(), reference[32]);
+  EXPECT_EQ(sparse.count_sum(), reference_sum);
   for (std::uint32_t v = 0; v < 32; ++v)
-    EXPECT_EQ(from_image.count(v), dense.count(v));
-  EXPECT_EQ(from_image.tau(), dense.tau());
+    EXPECT_EQ(sparse.count(v), reference[v]);
+
+  // Unrecording everything empties the frame; zeroed slots may stay in the
+  // touched set (a superset of the nonzeros), which the image tolerates.
+  for (const auto& path : paths) sparse.unrecord(path);
+  EXPECT_TRUE(sparse.empty());
+  EXPECT_EQ(sparse.count_sum(), 0u);
+  EXPECT_TRUE(sparse.counts_consistent());
+  image.clear();
+  sparse.encode(image, FrameRep::kSparse);
+  std::vector<std::uint64_t> zeros(33, 0);
+  decode_add_image(std::span<std::uint64_t>(zeros), image);
+  EXPECT_EQ(zeros, std::vector<std::uint64_t>(33, 0));
 }
 
 TEST(SparseFrame, AddDenseTracksTouchedSlots) {
-  StateFrame dense(6);
-  dense.record(std::vector<std::uint32_t>{1, 5});
+  // Counts {0, 1, 0, 0, 0, 1} then tau = 1.
+  const std::vector<std::uint64_t> dense{0, 1, 0, 0, 0, 1, 1};
   SparseFrame sparse(6);
-  sparse.add_dense(dense.raw());
+  sparse.add_dense(dense);
   EXPECT_EQ(sparse.nonzero_count(), 2u);
   EXPECT_EQ(sparse.tau(), 1u);
   sparse.clear();
@@ -209,19 +245,6 @@ TEST(SparseFrame, WorksUnderEpochManager) {
   EXPECT_EQ(aggregate.count(9), 1u);
   EXPECT_TRUE(manager.frame(0, 0).empty());
   EXPECT_TRUE(manager.frame(1, 0).empty());
-}
-
-TEST(StateFrame, EncodePrefersSmallerImageUnderAuto) {
-  StateFrame mostly_empty(100);
-  mostly_empty.record(std::vector<std::uint32_t>{7});
-  std::vector<std::uint64_t> image;
-  EXPECT_EQ(mostly_empty.encode(image, FrameRep::kAuto), FrameRep::kSparse);
-  EXPECT_EQ(image.size(), sparse_image_words(2));  // vertex 7 + tau
-
-  StateFrame full(4);
-  full.record(std::vector<std::uint32_t>{0, 1, 2, 3});
-  image.clear();
-  EXPECT_EQ(full.encode(image, FrameRep::kAuto), FrameRep::kDense);
 }
 
 // --- merge_images: the interior-hop combiner of tree-merge reductions -------
